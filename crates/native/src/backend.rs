@@ -46,6 +46,10 @@ thread_local! {
     // a cheap per-thread lane for the striped access counter (free mode).
     static CURRENT_PID: std::cell::Cell<Option<u32>> = const { std::cell::Cell::new(None) };
     static COUNTER_LANE: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
+    // Lockstep: positions in the scheduler's statement order of the first
+    // statement granted to this thread since the last
+    // `NativeBackend::take_grants`, and of the latest one.
+    static GRANTS: std::cell::Cell<(Option<u64>, u64)> = const { std::cell::Cell::new((None, 0)) };
 }
 
 static NEXT_LANE: AtomicUsize = AtomicUsize::new(0);
@@ -154,7 +158,12 @@ impl Lockstep {
                 st.grant = None;
                 st.status[pid as usize] = PState::Running;
                 st.last = Some(pid);
+                let at = st.statements;
                 st.statements += 1;
+                GRANTS.with(|g| {
+                    let (first, _) = g.get();
+                    g.set((first.or(Some(at)), at));
+                });
                 return;
             }
             let idle = st.grant.is_none()
@@ -299,6 +308,24 @@ impl NativeBackend {
     /// Total counted statements (cell accesses + explicit `step`s) so far.
     pub fn accesses(&self) -> u64 {
         self.inner.accesses.sum()
+    }
+
+    /// Lockstep only: the positions, in the scheduler's statement order,
+    /// of the first and the last statement granted to the calling thread
+    /// since its previous call (both the latest grant's position if none
+    /// was granted since). `None` in free mode.
+    ///
+    /// Each position is recorded by the granted thread while it holds the
+    /// statement token, so the pair is a pure function of the seed and
+    /// the configuration: the lockstep harness stamps its `OpRecord`s with
+    /// it, the way the simulator stamps them with its statement clock.
+    pub fn take_grants(&self) -> Option<(u64, u64)> {
+        self.inner.lockstep.as_ref()?;
+        Some(GRANTS.with(|g| {
+            let (first, last) = g.get();
+            g.set((None, last));
+            (first.unwrap_or(last), last)
+        }))
     }
 
     /// Lockstep only: `(granted statements, equal-priority preemptions)`.

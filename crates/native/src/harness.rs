@@ -4,12 +4,20 @@
 //! linearizability/agreement oracles (`hybrid_wf::oracle`) the fuzzer
 //! uses.
 //!
-//! Timestamps come from one global ticket clock (an `AtomicU64` bumped
-//! with `SeqCst` `fetch_add` at every operation start and end): if
-//! operation `a` completes before operation `b` begins in real time, then
-//! `a`'s end ticket precedes `b`'s start ticket, which is exactly the
-//! partial order [`hybrid_wf::oracle::check_linearizable`] requires —
-//! `oracle::timed_ops` consumes these records unchanged.
+//! Under free pacing, timestamps come from one global ticket clock (an
+//! `AtomicU64` bumped with `SeqCst` `fetch_add` at every operation start
+//! and end): if operation `a` completes before operation `b` begins in
+//! real time, then `a`'s end ticket precedes `b`'s start ticket, which is
+//! exactly the partial order [`hybrid_wf::oracle::check_linearizable`]
+//! requires — `oracle::timed_ops` consumes these records unchanged.
+//!
+//! Under lockstep pacing the stamps are the positions of the operation's
+//! first and last statements in the scheduler's grant order
+//! ([`NativeBackend::take_grants`]), recorded while the token is held —
+//! the simulator's statement clock, on real threads. The ticket clock
+//! would order records by OS thread start-up instead, so lockstep records
+//! (and the output order of [`FamilyRun::outputs`]) are a pure function of
+//! the seed only with grant stamps.
 //!
 //! Every workload runs **one OS thread per process**. In free mode that
 //! makes the process count the thread count (the contention knob); in
@@ -82,7 +90,8 @@ impl<O> FamilyRun<O> {
 }
 
 /// Spawns one thread per plan, runs `work` on each, and collects the
-/// per-operation records stamped through the shared ticket clock.
+/// per-operation records, stamped through the shared ticket clock (free
+/// pacing) or the scheduler's grant order (lockstep).
 fn run_threads<O, F>(backend: &NativeBackend, plans: Vec<Vec<O>>, work: F) -> FamilyRun<O>
 where
     O: Clone + Send + Sync + 'static,
@@ -103,14 +112,19 @@ where
                 backend.register(pid);
                 let mut records = Vec::new();
                 let mut retries = 0;
+                // Also clears grants left from an earlier workload.
+                let lockstep = backend.take_grants().is_some();
                 for (inv, op) in plans[pid as usize].iter().enumerate() {
-                    let t0 = clock.fetch_add(1, Ordering::SeqCst);
+                    let ticket = (!lockstep).then(|| clock.fetch_add(1, Ordering::SeqCst));
                     let (out, r) = work(&backend, pid, op);
-                    let t1 = clock.fetch_add(1, Ordering::SeqCst);
+                    let (start, t) = match ticket {
+                        Some(t0) => (t0, clock.fetch_add(1, Ordering::SeqCst)),
+                        None => backend.take_grants().expect("lockstep backend"),
+                    };
                     retries += r;
                     records.push(OpRecord {
-                        start: t0,
-                        t: t1,
+                        start,
+                        t,
                         pid: ProcessId(pid),
                         inv_index: inv as u32,
                         output: Some(out),
@@ -348,6 +362,26 @@ mod tests {
     #[test]
     fn cas_object_linearizable_free() {
         cas_run_ok(4, 4, 11, Pacing::Free).unwrap();
+    }
+
+    #[test]
+    fn lockstep_records_are_a_pure_function_of_the_seed() {
+        for seed in 0..4 {
+            let pacing = Pacing::Lockstep { seed, quantum: 1 };
+            let a = run_fig3(&[10, 20, 30], pacing);
+            assert_eq!(a.records, run_fig3(&[10, 20, 30], pacing).records, "seed {seed}");
+            let plans = counter_plans(3, 2, seed);
+            let c = run_universal(CounterSpec, plans.clone(), pacing);
+            assert_eq!(c.records, run_universal(CounterSpec, plans, pacing).records, "seed {seed}");
+            // Grant stamps: a process's operations occupy disjoint,
+            // increasing statement intervals.
+            for r in a.records.iter().chain(&c.records) {
+                assert!(r.start <= r.t, "{r:?}");
+            }
+            for w in c.records.windows(2).filter(|w| w[0].pid == w[1].pid) {
+                assert!(w[0].t < w[1].start, "{w:?}");
+            }
+        }
     }
 
     #[test]

@@ -20,8 +20,9 @@
 //!
 //! * **Parallel frontier sharding** ([`explore_parallel`]): workers on the
 //!   [`crate::sweep::pool`] pop subtree roots from a shared deque of forked
-//!   kernels, keep per-worker visited sets, and claim states exactly once
-//!   in a sharded global dedup table. [`ExploreStats`] merge commutatively,
+//!   kernels and claim states exactly once in a sharded global dedup table
+//!   (the only visited set; workers keep none of their own). Each worker
+//!   counts into its own [`ExploreStats`], merged commutatively at the end,
 //!   so an **untruncated** parallel run is bit-identical to serial at every
 //!   jobs count (the same guarantee [`crate::sweep::run_cells`] pins).
 //! * **Symmetry reduction** ([`ExploreBounds::symmetry`]): processes at
@@ -39,6 +40,22 @@
 //!   footprints simply never prune — and it preserves the *set* of
 //!   quiescent states exactly, so `terminals` is invariant under it.
 //!
+//! # Per-state cost
+//!
+//! Every state the explorer reaches is hashed and most are forked, so
+//! both are kept cheap and local to the worker:
+//!
+//! * **Fingerprints** use the in-tree keyed [`crate::rng::FoldHasher`] (one
+//!   folded 128-bit multiply per word), not SipHash, for every component:
+//!   process and window components, the symmetric multiset fold, machine
+//!   state keys and the memory.
+//! * **Forks** are `clone_from` copies into the kernels of dead branches
+//!   (deduped, terminal or depth-bounded), which each worker keeps on a
+//!   free list. A recycled fork reuses every buffer and machine box and
+//!   re-points a shared `Arc` only when it differs, so after warm-up it
+//!   allocates nothing and writes no cache line that another worker's
+//!   forks also write.
+//!
 //! # Dedup-collision (false-prune) probability
 //!
 //! Two distinct states whose hashes collide are wrongly merged, silently
@@ -47,13 +64,16 @@
 //! `N² / 2⁶⁵` — negligible for `N ≪ 2³²` (at `N = 10⁸`, ≈ 3·10⁻⁴ expected
 //! collisions). For larger runs, or when a verification result must not
 //! hinge on that bound, [`ExploreBounds::wide_hash`] keys the visited sets
-//! by [`Kernel::state_hash_wide`] — two independently seeded 64-bit hashes
-//! — dropping the expectation to about `N² / 2¹²⁹` (≈ 10⁻²² at `N = 10⁸`)
-//! at the cost of a second hash per step.
+//! by [`Kernel::state_hash_wide`] — two 64-bit lanes hashed under two
+//! different keys — dropping the expectation to about `N² / 2¹²⁹`
+//! (≈ 10⁻²² at `N = 10⁸`) at the cost of a second hash per step. The
+//! bound needs the lanes' collisions to be independent, so every hash on
+//! the path is keyed by the lane, down to the machine state keys
+//! (`ProgMachine` keys its inner hasher with the caller's running hash).
 
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
 use crate::kernel::{HashCfg, Kernel, StepAttempt};
@@ -173,6 +193,16 @@ impl ExploreStats {
     pub fn truncated(&self) -> bool {
         self.truncation != Truncation::None
     }
+
+    /// Adds a worker's counters (all but `peak_visited`, which is read
+    /// off the shared table) into `self`.
+    fn absorb(&mut self, w: &ExploreStats) {
+        self.terminals += w.terminals;
+        self.steps += w.steps;
+        self.deduped += w.deduped;
+        self.por_pruned += w.por_pruned;
+        self.truncation = self.truncation.max(w.truncation);
+    }
 }
 
 /// Visitor verdict controlling the exploration.
@@ -272,40 +302,96 @@ where
     M: Clone + Hash,
     F: FnMut(&Kernel<M>) -> Verdict,
 {
-    let mut stats = ExploreStats::default();
     let mut seen = VisitedSet::default();
     let mut root = kernel.clone();
     root.track_state_hash_cfg(bounds.hash_cfg());
     seen.insert(root.state_hash_wide());
-    // DFS over (kernel-state, partial decision script for the next step).
-    let mut stack: Vec<(Kernel<M>, Script, u64)> = vec![(root, Script::default(), 0)];
-
-    while let Some((mut k, script, depth)) = stack.pop() {
-        if stats.steps >= bounds.max_total_steps {
-            stats.truncation = stats.truncation.max(Truncation::StepBound);
+    let mut w = Worker::new(bounds.max_total_steps);
+    w.stack.push((root, Script::default(), 0));
+    while let Some(item) = w.stack.pop() {
+        if w.budget == 0 {
+            w.stats.truncation = w.stats.truncation.max(Truncation::StepBound);
             break;
         }
-        // Step the popped kernel in place: `step_scripted` aborts without
-        // mutation at a decision point, so `k` is reusable as the last
-        // fork there, and the successful-step path clones nothing.
+        if w.expand(item, &bounds, |h| seen.insert(h), &mut *on_terminal) == Verdict::Stop {
+            break;
+        }
+    }
+    w.stats.peak_visited = seen.len() as u64;
+    w.stats
+}
+
+/// A frontier item: a kernel, the decision script for its next step, and
+/// its depth in statements.
+type Item<M> = (Kernel<M>, Script, u64);
+
+/// One explorer worker's private state. Everything a step touches lives
+/// here, so workers share nothing on the per-step path but the visited
+/// table.
+struct Worker<M> {
+    /// The DFS stack.
+    stack: Vec<Item<M>>,
+    /// Kernels of dead branches (deduped, terminal, depth-bounded),
+    /// recycled as fork targets by [`Worker::fork`].
+    spare: Vec<Kernel<M>>,
+    /// This worker's counters, merged into the run's totals at the end.
+    stats: ExploreStats,
+    /// Steps this worker may still take from the `max_total_steps` budget.
+    budget: u64,
+}
+
+impl<M: Clone + Hash> Worker<M> {
+    fn new(budget: u64) -> Self {
+        Worker { stack: Vec::new(), spare: Vec::new(), stats: ExploreStats::default(), budget }
+    }
+
+    /// A copy of `k`, written into a recycled kernel when one is spare:
+    /// after warm-up a fork allocates nothing and touches no reference
+    /// count (see `Kernel::clone_from`).
+    fn fork(&mut self, k: &Kernel<M>) -> Kernel<M> {
+        match self.spare.pop() {
+            Some(mut f) => {
+                f.clone_from(k);
+                f
+            }
+            None => k.clone(),
+        }
+    }
+
+    /// Expands one frontier item: steps it (the step is in place —
+    /// `step_scripted` aborts without mutation at a decision point, so the
+    /// popped kernel is reusable as the last fork there), offers the
+    /// successor's key to `claim` (`true` = first visit), or forks at a
+    /// decision. The caller guarantees `budget > 0`. Returns the visitor's
+    /// verdict at a terminal, otherwise [`Verdict::KeepGoing`].
+    fn expand(
+        &mut self,
+        (mut k, script, depth): Item<M>,
+        bounds: &ExploreBounds,
+        claim: impl FnOnce(u128) -> bool,
+        on_terminal: impl FnOnce(&Kernel<M>) -> Verdict,
+    ) -> Verdict {
         match k.step_scripted(script.as_slice()) {
             StepAttempt::Quiescent => {
-                stats.terminals += 1;
-                if on_terminal(&k) == Verdict::Stop {
-                    stats.truncation = stats.truncation.max(Truncation::VisitorStop);
-                    break;
+                self.stats.terminals += 1;
+                let verdict = on_terminal(&k);
+                self.spare.push(k);
+                if verdict == Verdict::Stop {
+                    self.stats.truncation = self.stats.truncation.max(Truncation::VisitorStop);
                 }
+                return verdict;
             }
             StepAttempt::Stepped(_) => {
-                stats.steps += 1;
+                self.stats.steps += 1;
+                self.budget -= 1;
                 if depth + 1 >= bounds.max_depth {
-                    stats.truncation = stats.truncation.max(Truncation::DepthBound);
-                    continue;
-                }
-                if seen.insert(k.state_hash_wide()) {
-                    stack.push((k, Script::default(), depth + 1));
+                    self.stats.truncation = self.stats.truncation.max(Truncation::DepthBound);
+                    self.spare.push(k);
+                } else if claim(k.state_hash_wide()) {
+                    self.stack.push((k, Script::default(), depth + 1));
                 } else {
-                    stats.deduped += 1;
+                    self.stats.deduped += 1;
+                    self.spare.push(k);
                 }
             }
             StepAttempt::NeedChoice { arity, kind } => {
@@ -314,28 +400,40 @@ where
                 // pre-step state the ample-set analysis needs.
                 if bounds.por && kind == "cpu" {
                     if let Some(c) = k.ample_cpu_choice() {
-                        stats.por_pruned += (arity - 1) as u64;
-                        stack.push((k, script.pushed(c), depth));
-                        continue;
+                        self.stats.por_pruned += (arity - 1) as u64;
+                        self.stack.push((k, script.pushed(c), depth));
+                        return Verdict::KeepGoing;
                     }
                 }
                 // Same push order as cloning every branch (choice 0 first,
-                // arity-1 on top), but only arity-1 clones.
+                // arity-1 on top), but only arity-1 forks.
                 for c in 0..arity - 1 {
-                    stack.push((k.clone(), script.pushed(c), depth));
+                    let f = self.fork(&k);
+                    self.stack.push((f, script.pushed(c), depth));
                 }
-                stack.push((k, script.pushed(arity - 1), depth));
+                self.stack.push((k, script.pushed(arity - 1), depth));
             }
         }
+        Verdict::KeepGoing
     }
-    stats.peak_visited = seen.len() as u64;
-    stats
 }
+
+/// Steps a parallel worker claims from the shared `max_total_steps`
+/// budget at a time, so the budget costs one atomic update per this many
+/// steps rather than one per step.
+const STEP_GRANT: u64 = 1024;
+
+/// One shard of the global visited table, on cache lines of its own: its
+/// lock word and table header are written on every claim, and must not
+/// share a line with a neighbouring shard that another worker is claiming
+/// in.
+#[repr(align(128))]
+struct Shard(Mutex<VisitedSet>);
 
 /// Shared state of one parallel exploration.
 struct Frontier<M> {
     /// Subtree roots available for any worker to claim.
-    items: Vec<(Kernel<M>, Script, u64)>,
+    items: Vec<Item<M>>,
     /// Workers currently blocked waiting for frontier work.
     idle: usize,
 }
@@ -343,17 +441,20 @@ struct Frontier<M> {
 struct SharedExplore<M, F> {
     queue: Mutex<Frontier<M>>,
     cvar: Condvar,
+    /// `Frontier::idle`, readable without the lock: busy workers check it
+    /// before offering a donation, so the common nobody-is-starving case
+    /// reads a cache line instead of writing the frontier lock's.
+    waiting: AtomicUsize,
     /// Sharded global dedup table: a state is *claimed* by the worker
     /// whose insert wins; every later arrival counts as deduped. Sharding
     /// by high hash bits keeps lock contention low.
-    shards: Vec<Mutex<VisitedSet>>,
+    shards: Vec<Shard>,
     shard_mask: u64,
-    steps: AtomicU64,
-    terminals: AtomicU64,
-    deduped: AtomicU64,
-    por_pruned: AtomicU64,
-    truncation: AtomicU8,
+    /// The part of `max_total_steps` no worker has claimed yet.
+    steps_left: AtomicU64,
     stop: AtomicBool,
+    /// The workers' counters, merged as each worker exits.
+    totals: Mutex<ExploreStats>,
     jobs: usize,
     on_terminal: F,
 }
@@ -362,23 +463,40 @@ impl<M, F> SharedExplore<M, F> {
     fn shard(&self, h: u128) -> &Mutex<VisitedSet> {
         // Top bits of the primary hash: disjoint from the HashSet's bucket
         // bits (which come from the low end of the folded key).
-        &self.shards[((h as u64) >> 48 & self.shard_mask) as usize]
+        &self.shards[((h as u64) >> 48 & self.shard_mask) as usize].0
     }
 
-    fn truncate(&self, t: Truncation) {
-        self.truncation.fetch_max(t as u8, Ordering::Relaxed);
+    /// Claims up to [`STEP_GRANT`] steps of the budget; 0 once it is spent.
+    fn claim_steps(&self) -> u64 {
+        let mut left = self.steps_left.load(Ordering::Relaxed);
+        loop {
+            let take = left.min(STEP_GRANT);
+            if take == 0 {
+                return 0;
+            }
+            match self.steps_left.compare_exchange_weak(
+                left,
+                left - take,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return take,
+                Err(now) => left = now,
+            }
+        }
     }
 
     /// Claims the next subtree root, blocking while the frontier is empty
     /// but other workers are still running. Returns `None` when all
     /// workers are idle and the frontier is drained — global termination.
-    fn global_pop(&self) -> Option<(Kernel<M>, Script, u64)> {
+    fn global_pop(&self) -> Option<Item<M>> {
         let mut q = self.queue.lock().expect("frontier poisoned");
         loop {
             if let Some(w) = q.items.pop() {
                 return Some(w);
             }
             q.idle += 1;
+            self.waiting.store(q.idle, Ordering::Relaxed);
             if q.idle == self.jobs {
                 self.cvar.notify_all();
                 return None;
@@ -388,13 +506,14 @@ impl<M, F> SharedExplore<M, F> {
                 return None;
             }
             q.idle -= 1;
+            self.waiting.store(q.idle, Ordering::Relaxed);
         }
     }
 
     /// Moves the *oldest* (shallowest, hence largest) half of an
     /// overfull local stack to the shared frontier if anyone is starving.
-    fn donate(&self, local: &mut Vec<(Kernel<M>, Script, u64)>) {
-        if local.len() < 2 {
+    fn donate(&self, local: &mut Vec<Item<M>>) {
+        if local.len() < 2 || self.waiting.load(Ordering::Relaxed) == 0 {
             return;
         }
         if let Ok(mut q) = self.queue.try_lock() {
@@ -410,11 +529,15 @@ impl<M, F> SharedExplore<M, F> {
 /// [`explore`], fanned out over `jobs` workers of the
 /// [`crate::sweep::pool`] with a shared work frontier.
 ///
-/// Workers pop subtree roots (forked kernels) from a shared deque, keep a
-/// per-worker visited set as a lock-free first-level filter, and claim
-/// each state exactly once in a sharded global dedup table keyed by
-/// [`Kernel::state_hash`] (or [`Kernel::state_hash_wide`]). Stats are
-/// merged commutatively.
+/// Workers pop subtree roots (forked kernels) from a shared deque and
+/// claim each state exactly once in a sharded global dedup table keyed by
+/// [`Kernel::state_hash`] (or [`Kernel::state_hash_wide`]); there is no
+/// per-worker visited set, the global table alone decides whether a state
+/// was seen. Everything else on the per-step path is worker-local: each
+/// worker forks into its own recycled dead kernels (so shared `Arc`
+/// reference counts are not touched), counts into its own
+/// [`ExploreStats`], and takes steps from the `max_total_steps` budget in
+/// claims of 1,024. The counters are merged commutatively at the end.
 ///
 /// **Determinism**: on a run with [`Truncation::None`], every
 /// [`ExploreStats`] field — and the multiset of terminal states passed to
@@ -427,6 +550,13 @@ impl<M, F> SharedExplore<M, F> {
 /// collect and sort. Under symmetry reduction the *representative* of each
 /// orbit passed to the visitor may differ between runs (stats still
 /// match); compare permutation-invariant summaries.
+///
+/// **Step budget**: the total `steps` never exceeds
+/// [`ExploreBounds::max_total_steps`]. A worker that finds the budget
+/// fully claimed stops the run with [`Truncation::StepBound`], even if
+/// other workers still hold unspent claims, so a tree needing within
+/// `(jobs - 1) * 1024` steps of the budget may report `StepBound` where
+/// the serial run would not.
 ///
 /// `jobs <= 1` runs the serial explorer inline — same code path, zero
 /// synchronization.
@@ -454,14 +584,12 @@ where
             idle: 0,
         }),
         cvar: Condvar::new(),
-        shards: (0..n_shards).map(|_| Mutex::new(VisitedSet::default())).collect(),
+        waiting: AtomicUsize::new(0),
+        shards: (0..n_shards).map(|_| Shard(Mutex::new(VisitedSet::default()))).collect(),
         shard_mask: (n_shards - 1) as u64,
-        steps: AtomicU64::new(0),
-        terminals: AtomicU64::new(0),
-        deduped: AtomicU64::new(0),
-        por_pruned: AtomicU64::new(0),
-        truncation: AtomicU8::new(Truncation::None as u8),
+        steps_left: AtomicU64::new(bounds.max_total_steps),
         stop: AtomicBool::new(false),
+        totals: Mutex::new(ExploreStats::default()),
         jobs,
         on_terminal,
     };
@@ -472,88 +600,39 @@ where
         .insert(root_hash);
 
     sweep::pool(jobs, |_w| {
-        let mut local: Vec<(Kernel<M>, Script, u64)> = Vec::new();
-        let mut lseen = VisitedSet::default();
+        let mut w = Worker::new(0);
         loop {
-            shared.donate(&mut local);
-            let Some((mut k, script, depth)) = local.pop().or_else(|| shared.global_pop())
-            else {
+            shared.donate(&mut w.stack);
+            let Some(item) = w.stack.pop().or_else(|| shared.global_pop()) else {
                 break;
             };
             if shared.stop.load(Ordering::Relaxed) {
                 continue; // drain remaining work without exploring it
             }
-            if shared.steps.load(Ordering::Relaxed) >= bounds.max_total_steps {
-                shared.truncate(Truncation::StepBound);
-                shared.stop.store(true, Ordering::Relaxed);
-                continue;
+            if w.budget == 0 {
+                w.budget = shared.claim_steps();
+                if w.budget == 0 {
+                    w.stats.truncation = w.stats.truncation.max(Truncation::StepBound);
+                    shared.stop.store(true, Ordering::Relaxed);
+                    continue;
+                }
             }
-            match k.step_scripted(script.as_slice()) {
-                StepAttempt::Quiescent => {
-                    shared.terminals.fetch_add(1, Ordering::Relaxed);
-                    if (shared.on_terminal)(&k) == Verdict::Stop {
-                        shared.truncate(Truncation::VisitorStop);
-                        shared.stop.store(true, Ordering::Relaxed);
-                        shared.cvar.notify_all();
-                    }
-                }
-                StepAttempt::Stepped(_) => {
-                    shared.steps.fetch_add(1, Ordering::Relaxed);
-                    if depth + 1 >= bounds.max_depth {
-                        shared.truncate(Truncation::DepthBound);
-                        continue;
-                    }
-                    let h = k.state_hash_wide();
-                    if !lseen.insert(h) {
-                        // This worker has already seen (and the table has
-                        // already claimed) this state.
-                        shared.deduped.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    let fresh =
-                        shared.shard(h).lock().expect("dedup shard poisoned").insert(h);
-                    if fresh {
-                        local.push((k, Script::default(), depth + 1));
-                    } else {
-                        shared.deduped.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                StepAttempt::NeedChoice { arity, kind } => {
-                    if bounds.por && kind == "cpu" {
-                        if let Some(c) = k.ample_cpu_choice() {
-                            shared.por_pruned.fetch_add((arity - 1) as u64, Ordering::Relaxed);
-                            local.push((k, script.pushed(c), depth));
-                            continue;
-                        }
-                    }
-                    for c in 0..arity - 1 {
-                        local.push((k.clone(), script.pushed(c), depth));
-                    }
-                    local.push((k, script.pushed(arity - 1), depth));
-                }
+            let claim = |h| shared.shard(h).lock().expect("dedup shard poisoned").insert(h);
+            if w.expand(item, &bounds, claim, &shared.on_terminal) == Verdict::Stop {
+                shared.stop.store(true, Ordering::Relaxed);
+                shared.cvar.notify_all();
             }
         }
+        shared.totals.lock().expect("stats poisoned").absorb(&w.stats);
     });
 
-    let peak_visited: u64 = shared
+    let mut stats = shared.totals.into_inner().expect("stats poisoned");
+    stats.peak_visited = shared
         .shards
         .iter()
-        .map(|s| s.lock().expect("dedup shard poisoned").len() as u64)
+        .map(|s| s.0.lock().expect("dedup shard poisoned").len() as u64)
         .sum();
-    let truncation = match shared.truncation.load(Ordering::Relaxed) {
-        x if x == Truncation::None as u8 => Truncation::None,
-        x if x == Truncation::DepthBound as u8 => Truncation::DepthBound,
-        x if x == Truncation::StepBound as u8 => Truncation::StepBound,
-        _ => Truncation::VisitorStop,
-    };
-    ExploreStats {
-        terminals: shared.terminals.load(Ordering::Relaxed),
-        steps: shared.steps.load(Ordering::Relaxed),
-        deduped: shared.deduped.load(Ordering::Relaxed),
-        por_pruned: shared.por_pruned.load(Ordering::Relaxed),
-        peak_visited,
-        truncation,
-    }
+    stats
 }
 
 /// Convenience wrapper: explores and asserts `property` at every terminal

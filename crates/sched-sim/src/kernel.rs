@@ -23,7 +23,6 @@
 //!   decider), so consensus numbers retain their usual meaning across
 //!   processors.
 
-use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -33,6 +32,7 @@ use crate::ids::{ProcessId, ProcessorId, Priority};
 use crate::machine::{Footprint, StepCtx, StepMachine, StepOutcome};
 use crate::obs::{DecisionKind, ObsCounters, ObsEvent, Trace, WindowCloseReason};
 use crate::prof::Profile;
+use crate::rng::FoldHasher;
 use crate::sym::{Interner, Sym};
 
 /// How a process's first quantum window is sized.
@@ -381,25 +381,7 @@ impl<M: Clone> Clone for Kernel<M> {
             mem: self.mem.clone(),
             quantum: self.quantum,
             first_credit: self.first_credit,
-            procs: self
-                .procs
-                .iter()
-                .map(|p| ProcEntry {
-                    pid: p.pid,
-                    cpu: p.cpu,
-                    prio: p.prio,
-                    machine: p.machine.box_clone(),
-                    status: p.status,
-                    mid_invocation: p.mid_invocation,
-                    ever_dispatched: p.ever_dispatched,
-                    interleaved_same: p.interleaved_same,
-                    interleaved_higher: p.interleaved_higher,
-                    inv_start: p.inv_start,
-                    aborted_inv_start: p.aborted_inv_start,
-                    inv_snapshot: p.inv_snapshot.as_ref().map(|m| m.box_clone()),
-                    stats: p.stats,
-                })
-                .collect(),
+            procs: self.procs.iter().map(ProcEntry::fork).collect(),
             windows: self.windows.clone(),
             n_cpus: self.n_cpus,
             clock: self.clock,
@@ -424,6 +406,57 @@ impl<M: Clone> Clone for Kernel<M> {
             win_hash2: self.win_hash2.clone(),
             hash_acc2: self.hash_acc2,
         }
+    }
+
+    /// Turns `self` into a copy of `src` in place: the explorer's fork of
+    /// a live kernel into a dead one. Vectors and machine boxes are reused
+    /// ([`StepMachine::clone_into_box`]), and the shared history and op
+    /// log are re-pointed only when they differ (`Arc::ptr_eq`) — an op
+    /// log `self` owns alone is overwritten instead — so once the buffers
+    /// have grown to size a fork allocates nothing and writes no reference
+    /// count that forks on other threads also write. The scratch buffers
+    /// keep their capacity; they carry no state.
+    fn clone_from(&mut self, src: &Self) {
+        self.mem.clone_from(&src.mem);
+        self.quantum = src.quantum;
+        self.first_credit = src.first_credit;
+        self.procs.truncate(src.procs.len());
+        for (d, s) in self.procs.iter_mut().zip(&src.procs) {
+            d.copy_from(s);
+        }
+        let have = self.procs.len();
+        self.procs.extend(src.procs[have..].iter().map(ProcEntry::fork));
+        self.windows.clone_from(&src.windows);
+        self.n_cpus = src.n_cpus;
+        self.clock = src.clock;
+        self.record_history = src.record_history;
+        if !Arc::ptr_eq(&self.history, &src.history) {
+            self.history = Arc::clone(&src.history);
+        }
+        if !Arc::ptr_eq(&self.ops, &src.ops) {
+            // A log this kernel owns alone is overwritten in place: that
+            // touches no shared count, and the next completion pushes
+            // without a copy-on-write.
+            match Arc::get_mut(&mut self.ops) {
+                Some(mine) => mine.clone_from(&src.ops),
+                None => self.ops = Arc::clone(&src.ops),
+            }
+        }
+        self.obs.clone_from(&src.obs);
+        self.prof.clone_from(&src.prof);
+        self.counters = src.counters;
+        self.last_on_cpu.clone_from(&src.last_on_cpu);
+        self.lifecycle.clone_from(&src.lifecycle);
+        self.lifecycle_cursor = src.lifecycle_cursor;
+        self.crashable = src.crashable;
+        self.track_hash = src.track_hash;
+        self.hash_cfg = src.hash_cfg;
+        self.proc_hash.clone_from(&src.proc_hash);
+        self.win_hash.clone_from(&src.win_hash);
+        self.hash_acc = src.hash_acc;
+        self.proc_hash2.clone_from(&src.proc_hash2);
+        self.win_hash2.clone_from(&src.win_hash2);
+        self.hash_acc2 = src.hash_acc2;
     }
 }
 
@@ -1262,16 +1295,13 @@ impl<M> Kernel<M> {
     /// Component hash of one process's scheduling-relevant state, salted
     /// with its index and a domain tag so components of different processes
     /// (and of window lists) cannot cancel under the XOR fold. `seed`
-    /// domain-separates the second hash of [`HashCfg::wide`].
+    /// keys the hasher: the second hash of [`HashCfg::wide`] is a separate
+    /// hash function, not a relabeling of the first.
     fn proc_component(p: &ProcEntry<M>, index: usize, seed: u64) -> u64 {
-        let mut h = DefaultHasher::new();
-        0xA5u8.hash(&mut h);
-        seed.hash(&mut h);
-        index.hash(&mut h);
+        let mut h = FoldHasher::new(seed);
+        h.write_u64(0xA5 << 56 | index as u64);
         p.machine.state_key(&mut h);
-        p.status.rank().hash(&mut h);
-        p.mid_invocation.hash(&mut h);
-        p.ever_dispatched.hash(&mut h);
+        h.write_u64(p.status_word());
         h.finish()
     }
 
@@ -1279,29 +1309,20 @@ impl<M> Kernel<M> {
     /// processes with identical machine state and status get identical
     /// descriptors, making them interchangeable in the canonical fold.
     fn proc_desc(p: &ProcEntry<M>, seed: u64) -> u64 {
-        let mut h = DefaultHasher::new();
-        0xC3u8.hash(&mut h);
-        seed.hash(&mut h);
+        let mut h = FoldHasher::new(seed);
+        h.write_u64(0xC3 << 56);
         p.machine.state_key(&mut h);
-        p.status.rank().hash(&mut h);
-        p.mid_invocation.hash(&mut h);
-        p.ever_dispatched.hash(&mut h);
+        h.write_u64(p.status_word());
         h.finish()
     }
 
     /// Component hash of one processor's open windows.
     fn win_component(ws: &[Window], cpu_index: usize, seed: u64) -> u64 {
-        let mut h = DefaultHasher::new();
-        0x5Au8.hash(&mut h);
-        seed.hash(&mut h);
-        cpu_index.hash(&mut h);
-        for w in ws {
-            if w.open {
-                w.holder.hash(&mut h);
-                w.prio.hash(&mut h);
-                w.count.hash(&mut h);
-                w.credit.hash(&mut h);
-            }
+        let mut h = FoldHasher::new(seed);
+        h.write_u64(0x5A << 56 | cpu_index as u64);
+        for w in ws.iter().filter(|w| w.open) {
+            h.write_u64(u64::from(w.holder.0) | u64::from(w.prio.0) << 32);
+            h.write_u64(u64::from(w.count) | u64::from(w.credit) << 32);
         }
         h.finish()
     }
@@ -1344,8 +1365,8 @@ impl<M> Kernel<M> {
     /// Like [`Kernel::track_state_hash`], with an explicit [`HashCfg`].
     ///
     /// With `symmetric` set, the canonical hash is recomputed per
-    /// [`Kernel::state_hash`] call (an O(processes + windows) sort-and-fold
-    /// — canonicalization has no incremental form); otherwise the usual
+    /// [`Kernel::state_hash`] call (an allocation-free O(processes +
+    /// windows) multiset sum, one descriptor per process); otherwise the usual
     /// incremental accumulator is maintained, twice over when `wide` is
     /// set.
     pub fn track_state_hash_cfg(&mut self, cfg: HashCfg) {
@@ -1392,47 +1413,48 @@ impl<M> Kernel<M> {
         acc
     }
 
-    /// The symmetry-canonical scheduler fold under `seed`: per processor,
-    /// its processes as sorted `(priority, descriptor)` pairs and its open
-    /// windows as sorted `(priority, count, credit, holder-descriptor)`
-    /// tuples; the per-processor hashes are themselves sorted before the
-    /// final fold, so both processes within a processor (at equal priority
-    /// — unequal priorities yield different pairs) and whole processors
-    /// are interchangeable.
+    /// The symmetry-canonical scheduler fold under `seed`, a multiset
+    /// hash that needs no sorting and no allocation. Per processor, each
+    /// process contributes a mixed `(priority, descriptor)` element and
+    /// each open window a mixed `(priority, count, credit,
+    /// holder-descriptor)` element; the elements are *summed* (mod 2⁶⁴), so
+    /// the per-processor hash is invariant under any permutation of its
+    /// processes. Unequal priorities give different elements, so only
+    /// equal-priority processes are interchangeable. The per-processor
+    /// hashes are summed too, which makes whole processors interchangeable.
+    /// Sums, unlike XOR, keep multiplicities: two identical processes do
+    /// not cancel.
     fn sym_fold(&self, seed: u64) -> u64 {
-        let desc: Vec<u64> = self.procs.iter().map(|p| Self::proc_desc(p, seed)).collect();
-        let mut cpu_hashes: Vec<u64> = Vec::with_capacity(self.n_cpus);
-        let mut entries: Vec<(Priority, u64)> = Vec::new();
-        let mut wins: Vec<(Priority, u32, u32, u64)> = Vec::new();
+        // Fixed-key element mixers: the descriptors inside are already
+        // keyed by `seed`.
+        const PROC_ELEM: FoldHasher = FoldHasher::new(0x3C01);
+        const WIN_ELEM: FoldHasher = FoldHasher::new(0x3C02);
+        let mut total = 0u64;
         for c in 0..self.n_cpus {
-            entries.clear();
-            entries.extend(
-                self.procs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| p.cpu.index() == c)
-                    .map(|(i, p)| (p.prio, desc[i])),
-            );
-            entries.sort_unstable();
-            wins.clear();
-            wins.extend(
-                self.windows[c]
-                    .iter()
-                    .filter(|w| w.open)
-                    .map(|w| (w.prio, w.count, w.credit, desc[w.holder.index()])),
-            );
-            wins.sort_unstable();
-            let mut h = DefaultHasher::new();
-            0x3Cu8.hash(&mut h);
-            seed.hash(&mut h);
-            entries.hash(&mut h);
-            wins.hash(&mut h);
-            cpu_hashes.push(h.finish());
+            let (mut procs, mut wins) = (0u64, 0u64);
+            for p in self.procs.iter().filter(|p| p.cpu.index() == c) {
+                let desc = Self::proc_desc(p, seed);
+                let mut e = PROC_ELEM;
+                e.write_u64(desc);
+                e.write_u32(p.prio.0);
+                procs = procs.wrapping_add(e.finish());
+                // A window's holder runs on the window's processor, so
+                // every open window of `c` is met here exactly once.
+                for w in self.windows[c].iter().filter(|w| w.open && w.holder == p.pid) {
+                    let mut e = WIN_ELEM;
+                    e.write_u64(desc);
+                    e.write_u64(u64::from(w.prio.0) | u64::from(w.count) << 32);
+                    e.write_u32(w.credit);
+                    wins = wins.wrapping_add(e.finish());
+                }
+            }
+            let mut h = FoldHasher::new(seed);
+            h.write_u64(0x3C << 56);
+            h.write_u64(procs);
+            h.write_u64(wins);
+            total = total.wrapping_add(h.finish());
         }
-        cpu_hashes.sort_unstable();
-        let mut h = DefaultHasher::new();
-        cpu_hashes.hash(&mut h);
-        h.finish()
+        total
     }
 
     /// One 64-bit state hash under `seed` (0 = primary), honoring the
@@ -1454,10 +1476,9 @@ impl<M> Kernel<M> {
         } else {
             self.compute_hash_acc(seed)
         };
-        let mut h = DefaultHasher::new();
-        seed.hash(&mut h);
+        let mut h = FoldHasher::new(seed);
         self.mem.hash(&mut h);
-        acc.hash(&mut h);
+        h.write_u64(acc);
         h.finish()
     }
 
@@ -1516,11 +1537,13 @@ impl<M> Kernel<M> {
     /// qualifies. Held processes are ignored: nothing releases them during
     /// an exploration.
     pub fn ample_cpu_choice(&self) -> Option<usize> {
-        let cpus = self.runnable_cpus();
-        if cpus.len() < 2 {
-            return None;
-        }
-        for (i, &cpu) in cpus.iter().enumerate() {
+        // The runnable cpus in ascending order, without collecting them;
+        // fewer than two leave nothing to choose.
+        let cpus = (0..self.n_cpus as u32).map(ProcessorId).filter(|&c| {
+            self.procs.iter().any(|p| p.status == Status::Ready && p.cpu == c)
+        });
+        cpus.clone().nth(1)?;
+        for (i, cpu) in cpus.enumerate() {
             let fp = self.pending_step_footprint(cpu);
             if fp == Footprint::Unknown {
                 continue;
@@ -1561,6 +1584,52 @@ impl<M> Kernel<M> {
 }
 
 impl<M> ProcEntry<M> {
+    /// A fresh copy of this entry (new machine boxes).
+    fn fork(&self) -> Self {
+        ProcEntry {
+            pid: self.pid,
+            cpu: self.cpu,
+            prio: self.prio,
+            machine: self.machine.box_clone(),
+            status: self.status,
+            mid_invocation: self.mid_invocation,
+            ever_dispatched: self.ever_dispatched,
+            interleaved_same: self.interleaved_same,
+            interleaved_higher: self.interleaved_higher,
+            inv_start: self.inv_start,
+            aborted_inv_start: self.aborted_inv_start,
+            inv_snapshot: self.inv_snapshot.as_ref().map(|m| m.box_clone()),
+            stats: self.stats,
+        }
+    }
+
+    /// Overwrites this entry with `src`, reusing the machine boxes.
+    fn copy_from(&mut self, src: &Self) {
+        self.pid = src.pid;
+        self.cpu = src.cpu;
+        self.prio = src.prio;
+        src.machine.clone_into_box(&mut self.machine);
+        self.status = src.status;
+        self.mid_invocation = src.mid_invocation;
+        self.ever_dispatched = src.ever_dispatched;
+        self.interleaved_same = src.interleaved_same;
+        self.interleaved_higher = src.interleaved_higher;
+        self.inv_start = src.inv_start;
+        self.aborted_inv_start = src.aborted_inv_start;
+        match (&mut self.inv_snapshot, &src.inv_snapshot) {
+            (Some(d), Some(s)) => s.clone_into_box(d),
+            (d, s) => *d = s.as_ref().map(|m| m.box_clone()),
+        }
+        self.stats = src.stats;
+    }
+
+    /// The scheduler-visible status bits, packed into one hash word.
+    fn status_word(&self) -> u64 {
+        u64::from(self.status.rank())
+            | u64::from(self.mid_invocation) << 2
+            | u64::from(self.ever_dispatched) << 3
+    }
+
     fn machine_inv_index(&self) -> u32 {
         // Completed invocations = stats.completed; the op being recorded is
         // the one that just completed.
@@ -1789,6 +1858,133 @@ mod tests {
         let mut d2 = RoundRobin::new();
         k2.run(&mut d2, 100);
         assert_eq!(k2.mem, vec![1, 1, 1]);
+    }
+
+    /// A two-invocation, three-statement counter program over a shared
+    /// `u64`: each invocation adds its locals' `step` to memory three
+    /// times and returns the running total.
+    fn counter_machine(step: u64) -> Box<dyn StepMachine<u64>> {
+        use crate::program::{Flow, ProgMachine, ProgramBuilder};
+        let mut b = ProgramBuilder::<(u64, u64), u64>::new();
+        let op = b.proc("op");
+        for i in 0..3 {
+            b.stmt(op, "add", move |l, m| {
+                *m += l.0;
+                l.1 = *m;
+                if i == 2 { Flow::Return } else { Flow::Next }
+            });
+        }
+        let prog = b.build();
+        let plan = Arc::new(move |_: &mut (u64, u64), k: u32| (k < 2).then_some(op));
+        Box::new(ProgMachine::with_plan(&prog, (step, 0), plan).with_output(|l| Some(l.1)))
+    }
+
+    /// Steps `fresh` and `recycled` in lockstep under one seeded decider
+    /// each (same seed, so the same decisions), checking after every step
+    /// that the two kernels are indistinguishable.
+    fn assert_forks_agree(mut fresh: Kernel<u64>, mut recycled: Kernel<u64>, seed: u64) {
+        let (mut da, mut db) = (SeededRandom::new(seed), SeededRandom::new(seed));
+        let same = |a: &Kernel<u64>, b: &Kernel<u64>, at: usize| {
+            assert_eq!(a.state_hash_wide(), b.state_hash_wide(), "state hash at step {at}");
+            assert_eq!(a.mem, b.mem, "memory at step {at}");
+            assert_eq!(a.n_processes(), b.n_processes());
+            for p in 0..a.n_processes() as u32 {
+                assert_eq!(a.output(ProcessId(p)), b.output(ProcessId(p)), "output at step {at}");
+                assert_eq!(a.stats(ProcessId(p)), b.stats(ProcessId(p)));
+            }
+            assert_eq!(a.ops(), b.ops(), "ops at step {at}");
+            assert_eq!(a.counters(), b.counters(), "counters at step {at}");
+            assert_eq!(a.lifecycle_pending(), b.lifecycle_pending());
+            assert_eq!(a.obs(), b.obs(), "trace at step {at}");
+            assert_eq!(a.prof(), b.prof(), "profile at step {at}");
+        };
+        same(&fresh, &recycled, 0);
+        for at in 1..=200 {
+            let (ra, rb) = (fresh.step(&mut da), recycled.step(&mut db));
+            assert_eq!(format!("{ra:?}"), format!("{rb:?}"), "step report at step {at}");
+            same(&fresh, &recycled, at);
+            if ra.is_none() {
+                return;
+            }
+        }
+        panic!("run did not quiesce");
+    }
+
+    /// A dirty fork target: a crashable kernel of another shape, run for
+    /// a while, so it holds invocation snapshots of its own.
+    fn dead_kernel(procs: u32) -> Kernel<u64> {
+        let mut k = Kernel::new(0u64, SystemSpec::hybrid(2).with_adversarial_alignment());
+        k.enable_crashes();
+        for p in 0..procs {
+            k.add_process(ProcessorId(p % 2), Priority(1 + p % 2), counter_machine(10 + u64::from(p)));
+        }
+        k.track_state_hash_cfg(HashCfg { symmetric: false, wide: true });
+        k.attach_obs();
+        k.run(&mut SeededRandom::new(99), 7);
+        k
+    }
+
+    /// `clone_from` into a recycled kernel must equal a fresh `clone`:
+    /// same hashes, outputs, op log, counters and step reports along a
+    /// whole run, for every kind of source.
+    #[test]
+    fn recycled_fork_equals_fresh_clone() {
+        // A crashable kernel mid-run: a pending lifecycle plan, a fired
+        // crash and a captured invocation snapshot.
+        let mut crashy = Kernel::new(0u64, SystemSpec::hybrid(3).with_adversarial_alignment());
+        for p in 0..3u32 {
+            crashy.add_process(ProcessorId(p % 2), Priority(1), counter_machine(1 << p));
+        }
+        crashy.track_state_hash_cfg(HashCfg { symmetric: false, wide: true });
+        crashy.schedule_crash(2, ProcessId(0));
+        crashy.schedule_recover(5, ProcessId(0));
+        crashy.run(&mut SeededRandom::new(1), 4);
+        assert!(crashy.counters().crashes > 0);
+        // Fork while pid 1 is inside an invocation, with its crash due at
+        // the very next step: the copies must restore pid 1 from the
+        // source's invocation snapshot, not from the one the dead kernel
+        // held.
+        let mut d = SeededRandom::new(1);
+        while !crashy.procs[1].mid_invocation {
+            crashy.step(&mut d).expect("pid 1 gets to run");
+        }
+        crashy.schedule_crash(crashy.clock(), ProcessId(1));
+        crashy.schedule_recover(crashy.clock() + 3, ProcessId(1));
+        assert!(crashy.lifecycle_pending() > 0);
+
+        // Observed and profiled, under the symmetric canonical hash.
+        let mut watched = Kernel::new(0u64, SystemSpec::hybrid(2).with_history());
+        for _ in 0..3 {
+            watched.add_process(ProcessorId(0), Priority(1), counter_machine(5));
+        }
+        watched.track_state_hash_cfg(HashCfg { symmetric: true, wide: true });
+        watched.attach_obs();
+        watched.attach_prof();
+        watched.run(&mut SeededRandom::new(2), 3);
+
+        // FnMachines: the `box_clone` fallback of `clone_into_box`.
+        let mut closures = Kernel::new(0u64, SystemSpec::hybrid(4));
+        for tag in 0..2u64 {
+            closures.add_process(
+                ProcessorId(tag as u32),
+                Priority(1),
+                Box::new(FnMachine::new(move |mem: &mut u64, calls| {
+                    *mem = *mem * 3 + tag;
+                    if calls == 3 { (StepOutcome::Finished, Some(*mem)) } else { (StepOutcome::Continue, None) }
+                })),
+            );
+        }
+        closures.track_state_hash();
+        closures.run(&mut SeededRandom::new(3), 2);
+
+        for (i, src) in [crashy, watched, closures].iter().enumerate() {
+            // Fewer, as many and more processes than the source.
+            for dead_procs in [1, src.n_processes() as u32, 5] {
+                let mut recycled = dead_kernel(dead_procs);
+                recycled.clone_from(src);
+                assert_forks_agree(src.clone(), recycled, 40 + i as u64);
+            }
+        }
     }
 
     #[test]

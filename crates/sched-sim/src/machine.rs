@@ -2,6 +2,7 @@
 //! per [`StepMachine::step`] call.
 
 use core::hash::Hasher;
+use std::any::Any;
 
 use crate::ids::ProcessId;
 use crate::sym::{Interner, Sym};
@@ -190,6 +191,28 @@ pub trait StepMachine<M>: Send {
     /// Required so the exhaustive explorer can fork simulations at decision
     /// points.
     fn box_clone(&self) -> Box<dyn StepMachine<M>>;
+
+    /// Overwrites `dst` with a copy of this machine's full execution
+    /// state, as if by `*dst = self.box_clone()`.
+    ///
+    /// The explorer recycles the kernels of dead branches as fork targets
+    /// ([`crate::kernel::Kernel`]'s `clone_from`), and this is its
+    /// per-machine half: an implementation may copy into `dst`'s existing
+    /// allocation when `dst` is the same concrete machine type (found via
+    /// [`as_any_mut`](StepMachine::as_any_mut)), so a warmed-up fork
+    /// allocates nothing. The default falls back to
+    /// [`box_clone`](StepMachine::box_clone), which is always correct.
+    fn clone_into_box(&self, dst: &mut Box<dyn StepMachine<M>>) {
+        *dst = self.box_clone();
+    }
+
+    /// The machine as [`Any`], so an in-place
+    /// [`clone_into_box`](StepMachine::clone_into_box) can recognize a
+    /// destination of its own type. The default, `None`, opts out (the
+    /// destination is then always replaced by a fresh box).
+    fn as_any_mut(&mut self) -> Option<&mut dyn Any> {
+        None
+    }
 
     /// Feeds the machine's full execution state into `h`.
     ///

@@ -36,11 +36,12 @@
 //! assert_eq!(m.output(), Some(1));
 //! ```
 
-use std::collections::hash_map::DefaultHasher;
+use std::any::Any;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::machine::{Footprint, StepCtx, StepMachine, StepOutcome};
+use crate::rng::FoldHasher;
 
 /// Refers to a procedure of a [`Program`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -314,6 +315,29 @@ impl<L: Clone, M> Clone for ProgMachine<L, M> {
             may_fp_override: self.may_fp_override,
         }
     }
+
+    /// Copies `src` into `self`'s existing buffers. The shared program,
+    /// plan and output closures are re-pointed only when they differ
+    /// (`Arc::ptr_eq`): forks of one kernel share them, so recycling a
+    /// fork touches no reference count another thread also writes.
+    fn clone_from(&mut self, src: &Self) {
+        if !Arc::ptr_eq(&self.prog, &src.prog) {
+            self.prog = src.prog.clone();
+        }
+        self.locals.clone_from(&src.locals);
+        self.frames.clone_from(&src.frames);
+        self.inv_index = src.inv_index;
+        self.finished = src.finished;
+        if !Arc::ptr_eq(&self.plan, &src.plan) {
+            self.plan = src.plan.clone();
+        }
+        if !Arc::ptr_eq(&self.out_fn, &src.out_fn) {
+            self.out_fn = src.out_fn.clone();
+        }
+        self.out = src.out;
+        self.free_fuel = src.free_fuel;
+        self.may_fp_override = src.may_fp_override;
+    }
 }
 
 impl<L, M> ProgMachine<L, M> {
@@ -505,8 +529,23 @@ where
         Box::new(self.clone())
     }
 
+    fn clone_into_box(&self, dst: &mut Box<dyn StepMachine<M>>) {
+        match dst.as_any_mut().and_then(|d| d.downcast_mut::<Self>()) {
+            Some(d) => d.clone_from(self),
+            None => *dst = self.box_clone(),
+        }
+    }
+
+    fn as_any_mut(&mut self) -> Option<&mut dyn Any> {
+        Some(self)
+    }
+
     fn state_key(&self, h: &mut dyn Hasher) {
-        let mut inner = DefaultHasher::new();
+        // One concrete inner hasher instead of a virtual call per field.
+        // It is keyed by the caller's running hash, so each caller's lane
+        // (and process index) gets its own fingerprint function: an inner
+        // collision in one lane says nothing about the other.
+        let mut inner = FoldHasher::new(h.finish());
         self.locals.hash(&mut inner);
         self.frames.hash(&mut inner);
         self.inv_index.hash(&mut inner);
@@ -735,6 +774,37 @@ mod tests {
     }
 
     #[test]
+    fn clone_into_box_copies_in_place() {
+        let mut b = ProgramBuilder::<L, u64>::new();
+        let main = b.proc("main");
+        b.stmt(main, "1", |l, m| {
+            l.i += 1;
+            *m += 1;
+            Flow::Next
+        });
+        b.stmt(main, "2", |l, _| {
+            l.ret = l.i;
+            Flow::Return
+        });
+        let prog = b.build();
+        let mut src = ProgMachine::single_shot(&prog, L::default(), main).with_output(|l| Some(l.ret));
+        let mut dst: Box<dyn StepMachine<u64>> = Box::new(src.clone());
+        let mut mem = 0u64;
+        src.step(&mut mem, &mut ctx());
+        let before: *const dyn StepMachine<u64> = &*dst;
+        src.clone_into_box(&mut dst);
+        assert!(std::ptr::addr_eq(before, &*dst as *const dyn StepMachine<u64>), "reused the box");
+        let key = |m: &dyn StepMachine<u64>| {
+            let mut h = FoldHasher::new(0);
+            m.state_key(&mut h);
+            h.finish()
+        };
+        assert_eq!(key(&*dst), key(&src));
+        assert_eq!(dst.step(&mut mem, &mut ctx()), StepOutcome::Finished);
+        assert_eq!(dst.output(), Some(1));
+    }
+
+    #[test]
     fn state_key_distinguishes_positions() {
         let mut b = ProgramBuilder::<L, u64>::new();
         let main = b.proc("main");
@@ -743,7 +813,7 @@ mod tests {
         let prog = b.build();
         let mut m = ProgMachine::single_shot(&prog, L::default(), main);
         let key = |m: &ProgMachine<L, u64>| {
-            let mut h = DefaultHasher::new();
+            let mut h = FoldHasher::new(0);
             m.state_key(&mut h);
             h.finish()
         };

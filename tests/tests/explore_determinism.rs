@@ -176,3 +176,24 @@ fn pair_workload_reduces_by_por_alone() {
     assert_eq!(plain.terminals, por.terminals);
     assert!(por.peak_visited * 5 <= plain.peak_visited);
 }
+
+/// The benchmark's reduced pair mode — partial-order reduction with
+/// 128-bit keys — at two workers: bit-identical stats and the same
+/// terminal multiset as serial, on the smoke configuration and on the
+/// next size up, where both workers get real work. Repeated, because a
+/// scheduling-dependent divergence need not show on every run.
+#[test]
+fn por_wide_pair_parallel_matches_serial_at_two_jobs() {
+    let bounds = ExploreBounds { por: true, wide_hash: true, ..ExploreBounds::default() };
+    for per_object in [1, 2] {
+        let k = pair_kernel(MIN_QUANTUM, per_object);
+        let (serial, serial_terms) = terminal_multiset(&k, bounds, 1);
+        assert_eq!(serial.truncation, Truncation::None);
+        assert!(serial.por_pruned > 0, "POR must fire on the pair workload");
+        for rep in 0..4 {
+            let (par, par_terms) = terminal_multiset(&k, bounds, 2);
+            assert_eq!(par, serial, "stats diverged: pair 2x{per_object}, rep {rep}");
+            assert_eq!(par_terms, serial_terms, "terminals diverged: pair 2x{per_object}, rep {rep}");
+        }
+    }
+}
