@@ -32,9 +32,10 @@
 //!   B.2).
 //! * [`universal`] — Herlihy-style universal construction on top of
 //!   consensus: wait-free queues, counters, and registers.
-//! * [`service`] — long-lived worker sessions over the same construction:
-//!   on-demand operation generation for multiplexed clients and optional
-//!   think-time, the machine behind `experiments --service`.
+//! * [`service`] — `SessionMachine`, the construction's statement-level
+//!   machine: long-lived worker sessions with on-demand operation
+//!   generation for multiplexed clients and optional think-time, behind
+//!   `experiments --service` and the one-shot `universal::op_machine`.
 //! * [`generic`] — Fig. 3, the Fig. 5 object interface, and the universal
 //!   construction written once against [`wfmem::backend::MemBackend`], so
 //!   the same function bodies run on the deterministic simulator cells

@@ -1,30 +1,27 @@
-//! Long-lived universal-object **sessions**: the request-serving side of
-//! the universal construction.
+//! The universal construction as a statement-level machine, and the
+//! long-lived worker **sessions** that serve requests with it.
 //!
-//! Everything in [`crate::universal`] performs a *fixed op list* and
-//! stops — the shape of a one-shot experiment. A request server is the
-//! opposite: a worker process lives as long as the service does, issuing
-//! an unbounded stream of operations against the same shared object on
-//! behalf of many multiplexed clients. [`SessionMachine`] is that worker:
-//! a statement-level machine over the same [`UniversalMem`] shared state,
-//! executing the construction's three statements (`a1` announce, `a2`
-//! decide-and-replay with round-robin helping, `a3` retract-and-return)
-//! **statement for statement identically** to the
-//! [`op_machine`](crate::universal::op_machine) program — the
-//! `session_machine_is_an_exact_twin_of_op_machine` test pins the two to
-//! bit-identical runs — while adding what a long-lived server needs:
+//! [`SessionMachine`] is the simulator's one implementation of the
+//! [`crate::universal`] construction: a machine over the shared
+//! [`UniversalMem`] executing three counted statements per operation —
+//! `a1` announce, `a2` decide-and-replay with round-robin helping, `a3`
+//! retract-and-return. A request server's worker lives as long as the
+//! service does, issuing a stream of operations against the same shared
+//! object on behalf of many multiplexed clients; a one-shot experiment is
+//! the special case of one client with a fixed op list and no think-time
+//! ([`op_machine`](crate::universal::op_machine)). A session:
 //!
-//! * operations are *generated on demand* from `(client, client_seq)` by
-//!   an [`OpGen`] closure instead of staged in a pre-built `Vec`, so a
-//!   million-request stream costs no per-op staging memory;
-//! * each worker multiplexes a contiguous client slice: its `j`-th
-//!   request is issued on behalf of client `lo + (j mod count)`, request
-//!   number `j div count` of that client;
-//! * an optional **think phase** of `think` counted statements precedes
-//!   every request as its own invocation (reported with no output), so a
-//!   closed-loop worker yields its quantum between requests exactly like
-//!   a server thread blocking on the next request;
-//! * the steady state allocates nothing: [`session_mem`] pre-sizes the
+//! * *generates operations on demand* from `(client, client_seq)` by an
+//!   [`OpGen`] closure, so a million-request stream costs no per-op
+//!   staging memory;
+//! * multiplexes a contiguous client slice: its `j`-th request is issued
+//!   on behalf of client `lo + (j mod count)`, request number
+//!   `j div count` of that client;
+//! * optionally precedes every request with a **think phase** of `think`
+//!   counted statements as its own invocation (reported with no output),
+//!   so a closed-loop worker yields its quantum between requests exactly
+//!   like a server thread blocking on the next request;
+//! * allocates nothing in the steady state: [`session_mem`] pre-sizes the
 //!   log and per-worker op arenas, so `a1`'s push and `a2`'s replay never
 //!   grow a buffer (the service determinism suite counts allocations).
 //!
@@ -38,27 +35,12 @@ use std::sync::Arc;
 use sched_sim::machine::{StepCtx, StepMachine, StepOutcome};
 use wfmem::Val;
 
-use crate::generic::WordOp;
 use crate::oracle::SeqSpec;
-use crate::universal::UniversalMem;
+use crate::universal::{op_token, token_pid, token_seq, UniversalMem};
 
 /// Generates the session's operations on demand: `(client, client_seq)`
 /// is the `client_seq`-th request of global client `client`.
 pub type OpGen<S> = Arc<dyn Fn(u64, u64) -> <S as SeqSpec>::Op + Send + Sync>;
-
-/// Operation token encoding, identical to [`crate::universal`]'s:
-/// `(pid, seq)` packed into one word.
-fn op_token(pid: u32, seq: u32) -> Val {
-    (u64::from(pid) << 32) | u64::from(seq)
-}
-
-fn token_pid(tok: Val) -> u32 {
-    (tok >> 32) as u32
-}
-
-fn token_seq(tok: Val) -> u32 {
-    (tok & 0xffff_ffff) as u32
-}
 
 /// Where the session is inside its current invocation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -76,7 +58,7 @@ enum Phase {
 /// A long-lived worker session against a [`UniversalMem`] object: performs
 /// `requests` generated operations (each optionally preceded by a think
 /// invocation), then finishes. See the [module docs](self).
-pub struct SessionMachine<S: WordOp>
+pub struct SessionMachine<S: SeqSpec>
 where
     S::State: Hash,
     S::Op: Hash + Eq,
@@ -88,7 +70,7 @@ where
     client_lo: u64,
     client_count: u64,
     gen: OpGen<S>,
-    // -- dynamic state (the `UniversalLocals` of the program twin) --
+    // -- dynamic state --
     state: S::State,
     applied: Vec<u32>,
     k: u32,
@@ -103,7 +85,7 @@ where
 
 impl<S> SessionMachine<S>
 where
-    S: WordOp + Clone,
+    S: SeqSpec + Clone,
     S::State: Hash,
     S::Op: Hash + Eq,
 {
@@ -160,9 +142,8 @@ where
         }
     }
 
-    /// Stages the next request (the invocation-plan step of the program
-    /// twin): generates the op for the multiplexed client and claims the
-    /// next token.
+    /// Stages the next request: generates the op for the multiplexed
+    /// client and claims the next token.
     fn stage(&mut self) {
         let j = self.done;
         let client = self.client_lo + j % self.client_count;
@@ -176,7 +157,7 @@ where
 
 impl<S> Clone for SessionMachine<S>
 where
-    S: WordOp + Clone,
+    S: SeqSpec + Clone,
     S::State: Hash,
     S::Op: Hash + Eq,
 {
@@ -205,7 +186,7 @@ where
 
 impl<S> StepMachine<UniversalMem<S>> for SessionMachine<S>
 where
-    S: WordOp + Clone + Send + Sync + 'static,
+    S: SeqSpec + Clone + Send + Sync + 'static,
     S::State: Hash + Send + Sync + 'static,
     S::Op: Hash + Eq + Send + Sync + 'static,
 {
@@ -228,7 +209,9 @@ where
                 ctx.label("a1: announce[p] := (token, op)");
                 let op = self.my_op.clone().expect("operation staged");
                 // Push-once: a crash-and-restart re-runs this statement
-                // with the same token (the program twin's guard, verbatim).
+                // with the same token, and the op log is indexed by sequence
+                // number — a second push would shift every later op of this
+                // process. The re-announce is idempotent (same token, op).
                 let row = &mut m.ops[self.me as usize];
                 if row.len() as u32 == token_seq(self.my_token) {
                     row.push(op.clone());
@@ -242,7 +225,7 @@ where
             Phase::A2 => {
                 ctx.label("a2: decide(log[k], help ?: own)");
                 // Helping: prefer the announced pending op of process
-                // k mod N (the program twin's statement, verbatim).
+                // k mod N.
                 let helpee = (self.k % m.n) as usize;
                 let proposal = match &m.announce[helpee] {
                     Some((tok, _)) => *tok,
@@ -340,7 +323,7 @@ where
 mod tests {
     use super::*;
     use crate::oracle::{check_linearizable, timed_ops, QueueOp, QueueSpec};
-    use crate::universal::{op_machine, replay_final_state, CounterSpec};
+    use crate::universal::{replay_final_state, CounterSpec};
     use sched_sim::decision::{RoundRobin, SeededRandom};
     use sched_sim::ids::{ProcessorId, Priority};
     use sched_sim::kernel::{Kernel, SystemSpec};
@@ -378,40 +361,6 @@ mod tests {
             );
         }
         k
-    }
-
-    /// The session machine is an exact statement-level twin of the
-    /// `op_machine` program: under identical schedules the two kernels
-    /// execute the same number of statements, produce the same
-    /// completed-invocation records, and leave shared memory bit-identical.
-    #[test]
-    fn session_machine_is_an_exact_twin_of_op_machine() {
-        let (n, per) = (4u32, 5u64);
-        for seed in 0..30 {
-            let mut ks = session_kernel(n, per, 0);
-            let reqs: Vec<u64> = vec![per; n as usize];
-            let mut kp = Kernel::new(
-                session_mem::<CounterSpec>(&reqs),
-                SystemSpec::hybrid(8).with_adversarial_alignment(),
-            );
-            for w in 0..n {
-                // The op list the session generates, pre-staged.
-                let ops: Vec<u64> = (0..per)
-                    .map(|j| addend(u64::from(w) * 2 + j % 2, j / 2))
-                    .collect();
-                kp.add_process(
-                    ProcessorId(0),
-                    Priority(1 + w % 2),
-                    Box::new(op_machine(CounterSpec, w, n, ops)),
-                );
-            }
-            let ran_s = ks.run(&mut SeededRandom::new(seed), 1_000_000);
-            let ran_p = kp.run(&mut SeededRandom::new(seed), 1_000_000);
-            assert!(ks.all_finished() && kp.all_finished(), "seed {seed}");
-            assert_eq!(ran_s, ran_p, "seed {seed}: statement counts differ");
-            assert_eq!(ks.ops(), kp.ops(), "seed {seed}: op records differ");
-            assert_eq!(ks.mem, kp.mem, "seed {seed}: shared memory differs");
-        }
     }
 
     #[test]

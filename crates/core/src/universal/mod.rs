@@ -20,31 +20,38 @@
 //! within `N` slots of its announcement (the classical round-robin
 //! helping discipline).
 //!
+//! The simulator implements the construction once, as the statement-level
+//! [`SessionMachine`] in [`crate::service`]: three counted statements per
+//! operation (`a1` announce, `a2` decide-and-replay, `a3` retract and
+//! return). This module holds the shared memory ([`UniversalMem`]), the
+//! operation tokens, the ground-truth replay, and [`op_machine`] — a
+//! session over a fixed op list, the shape of a one-shot experiment.
+//!
 //! The objects provided — FIFO queue, counter, CAS register — are the
 //! workloads the motivation section's real-time systems (QNX, IRIX REACT,
 //! VxWorks) share between mixed-priority tasks.
 
 use std::sync::Arc;
 
-use sched_sim::program::{Flow, InvocationPlan, ProgMachine, Program, ProgramBuilder};
 use wfmem::{LocalConsensus, Val};
 
 use crate::counters::AlgCounters;
 use crate::oracle::{QueueOp, SeqSpec};
+use crate::service::SessionMachine;
 #[cfg(test)]
 use crate::oracle::EMPTY;
 
 /// An operation descriptor in the announce array: `(pid, seq)` identifies
 /// the `seq`-th operation of process `pid`.
-fn op_token(pid: u32, seq: u32) -> Val {
+pub(crate) fn op_token(pid: u32, seq: u32) -> Val {
     (u64::from(pid) << 32) | u64::from(seq)
 }
 
-fn token_pid(tok: Val) -> u32 {
+pub(crate) fn token_pid(tok: Val) -> u32 {
     (tok >> 32) as u32
 }
 
-fn token_seq(tok: Val) -> u32 {
+pub(crate) fn token_seq(tok: Val) -> u32 {
     (tok & 0xffff_ffff) as u32
 }
 
@@ -95,153 +102,23 @@ where
     }
 }
 
-/// Process-local state: the private replica plus the apply loop registers.
+/// Builds a machine for process `me` of `n` performing `ops` in sequence
+/// against the universal object: a [`SessionMachine`] serving one client
+/// whose `j`-th request is `ops[j]`, with no think-time. Per-invocation
+/// output is the operation's result.
 ///
-/// `applied[w]` is the next sequence number of process `w` this replica
-/// expects; log slots deciding an older token are *duplicates* (a helper
-/// re-proposed a token that had already won an earlier slot) and are
-/// skipped during replay — the dedup that makes helping safe.
-#[derive(Clone, Debug, Hash, PartialEq, Eq)]
-pub struct UniversalLocals<S: SeqSpec>
+/// # Panics
+///
+/// If `ops` is empty.
+pub fn op_machine<S>(spec: S, me: u32, n: u32, ops: Vec<S::Op>) -> SessionMachine<S>
 where
+    S: SeqSpec + Clone,
     S::State: std::hash::Hash,
-    S::Op: std::hash::Hash,
-{
-    /// Process id.
-    pub me: u32,
-    /// The sequential specification (replay rules).
-    pub spec_state: S::State,
-    /// Next log slot this process has not yet replayed.
-    pub k: u32,
-    /// This invocation's operation and token.
-    pub my_op: Option<S::Op>,
-    /// Token of the pending operation.
-    pub my_token: Val,
-    /// Sequence number of the next operation.
-    pub seq: u32,
-    /// Next expected sequence number per process (duplicate filtering).
-    pub applied: Vec<u32>,
-    /// Result of the completed invocation.
-    pub ret: Option<Val>,
-}
-
-/// Builds the universal-object program for spec `S`.
-///
-/// The `apply` procedure announces the staged operation (`my_op`), then
-/// repeatedly proposes into log slots — helping the announced operation of
-/// process `k mod N` first — replaying each decided slot on the private
-/// replica, until its own operation is decided; the replica then yields
-/// the result.
-pub fn build_program<S>(spec: S) -> (Arc<Program<UniversalLocals<S>, UniversalMem<S>>>, sched_sim::program::ProcRef)
-where
-    S: SeqSpec + Clone + Send + Sync + 'static,
-    S::State: std::hash::Hash + Send + Sync,
-    S::Op: std::hash::Hash + Eq + Send + Sync,
-{
-    let mut b = ProgramBuilder::<UniversalLocals<S>, UniversalMem<S>>::new();
-    let apply = b.proc("universal-apply");
-
-    b.stmt(apply, "a1: announce[p] := (token, op)", |l, m| {
-        let op = l.my_op.clone().expect("operation staged");
-        // Push-once: a crash-and-restart re-runs this statement with the
-        // same token, and the op log is indexed by sequence number — a
-        // second push would shift every later op of this process. The
-        // re-announce is idempotent (same token, same op).
-        let row = &mut m.ops[l.me as usize];
-        if row.len() as u32 == token_seq(l.my_token) {
-            row.push(op.clone());
-        } else {
-            debug_assert!(row.len() as u32 > token_seq(l.my_token));
-        }
-        m.announce[l.me as usize] = Some((l.my_token, op));
-        Flow::Next
-    });
-    let loop_top = b.here(apply);
-    {
-        let spec = spec.clone();
-        b.stmt(apply, "a2: decide(log[k], help ?: own)", move |l, m| {
-            // Helping: prefer the announced pending op of process k mod N.
-            let helpee = (l.k % m.n) as usize;
-            let proposal = match &m.announce[helpee] {
-                Some((tok, _)) => *tok,
-                None => l.my_token,
-            };
-            if proposal == l.my_token {
-                m.counters.own_proposals += 1;
-            } else {
-                m.counters.helped_proposals += 1;
-            }
-            let slot = l.k as usize;
-            assert!(slot < m.log.len(), "universal log capacity exceeded");
-            let decided = m.log[slot].decide(proposal);
-            l.k += 1;
-            let (winner, wseq) = (token_pid(decided), token_seq(decided));
-            if wseq != l.applied[winner as usize] {
-                // Duplicate slot (helper re-proposed an applied token):
-                // skip it in the replay.
-                debug_assert!(wseq < l.applied[winner as usize]);
-                m.counters.duplicate_retries += 1;
-                return Flow::Goto(loop_top);
-            }
-            // First occurrence: replay on the private replica.
-            let op = m.ops[winner as usize][wseq as usize].clone();
-            let (next, result) = spec.apply(&l.spec_state, &op);
-            l.spec_state = next;
-            l.applied[winner as usize] += 1;
-            if decided == l.my_token {
-                l.ret = Some(result);
-                Flow::Next
-            } else {
-                Flow::Goto(loop_top)
-            }
-        });
-    }
-    b.stmt(apply, "a3: announce[p] := ⊥; return result", |l, m| {
-        m.announce[l.me as usize] = None;
-        Flow::Return
-    });
-
-    (b.build(), apply)
-}
-
-/// Builds a machine performing `ops` in sequence against the universal
-/// object. Per-invocation output is the operation's result.
-pub fn op_machine<S>(
-    spec: S,
-    me: u32,
-    n: u32,
-    ops: Vec<S::Op>,
-) -> ProgMachine<UniversalLocals<S>, UniversalMem<S>>
-where
-    S: SeqSpec + Clone + Send + Sync + 'static,
-    S::State: std::hash::Hash + Send + Sync + 'static,
     S::Op: std::hash::Hash + Eq + Send + Sync + 'static,
 {
-    let init = spec.init();
-    let (prog, apply) = build_program(spec);
-    let plan: InvocationPlan<UniversalLocals<S>> = Arc::new(move |l, inv| {
-        let op = ops.get(inv as usize)?.clone();
-        l.my_op = Some(op);
-        l.my_token = op_token(l.me, l.seq);
-        l.seq += 1;
-        l.ret = None;
-        Some(apply)
-    });
-    ProgMachine::with_plan(
-        &prog,
-        UniversalLocals {
-            me,
-            spec_state: init,
-            k: 0,
-            my_op: None,
-            my_token: 0,
-            seq: 0,
-            applied: vec![0; n as usize],
-            ret: None,
-        },
-        plan,
-    )
-    .with_output(|l| l.ret)
+    let requests = ops.len() as u64;
+    let gen = Arc::new(move |_client: u64, client_seq: u64| ops[client_seq as usize].clone());
+    SessionMachine::new(spec, me, n, requests, 0, (0, 1), gen)
 }
 
 /// A convenience sequential replay: folds the decided log (with duplicate

@@ -69,6 +69,9 @@
 //! only deterministic payloads; wall times go to a `*.timing.json` sidecar
 //! so regeneration never dirties a committed artifact. `--validate FILE`
 //! checks either kind of artifact against its schema and exits.
+//!
+//! A `--` argument that is none of the flags above exits with status 2 and
+//! lists the valid flags, so a mistyped selector never passes for a run.
 
 use std::time::{Duration, Instant};
 
@@ -137,7 +140,12 @@ impl RunArgs {
         };
         RunArgs {
             jobs: value_of("--jobs")
-                .map(|n| n.parse::<usize>().expect("--jobs needs an integer"))
+                .map(|n| {
+                    n.parse::<usize>().unwrap_or_else(|_| {
+                        eprintln!("--jobs needs an integer, got `{n}`");
+                        std::process::exit(2);
+                    })
+                })
                 .unwrap_or_else(default_jobs),
             smoke: args.iter().any(|a| a == "--smoke"),
             perf_baseline: value_of("--perf-baseline"),
@@ -145,6 +153,47 @@ impl RunArgs {
             explore_baseline: value_of("--explore-baseline"),
             fuzz_dir: value_of("--fuzz-dir").unwrap_or_else(|| "tests/golden/fuzz".to_string()),
         }
+    }
+
+    /// Experiment selectors. `--all`, or no selector at all, runs every
+    /// section up to `--perf`; the ones after it run only when named.
+    const SELECTORS: [&'static str; 19] = [
+        "--all",
+        "--lemma1",
+        "--thm1",
+        "--thm2",
+        "--fig8",
+        "--thm4",
+        "--failures",
+        "--thm3",
+        "--valency",
+        "--table1",
+        "--poly-vs-exp",
+        "--obs",
+        "--perf",
+        "--fuzz",
+        "--profile",
+        "--native",
+        "--service",
+        "--crash",
+        "--explore",
+    ];
+
+    /// Standalone modes, each taking a file path: `--validate FILE` and
+    /// `--profile-trace FILE`.
+    const STANDALONE: [&'static str; 2] = ["--validate", "--profile-trace"];
+
+    /// The `--`-prefixed arguments that are no known flag.
+    fn unknown_flags(args: &[String]) -> Vec<&str> {
+        args.iter()
+            .map(String::as_str)
+            .filter(|a| a.starts_with("--"))
+            .filter(|a| {
+                !Self::SELECTORS.contains(a)
+                    && !Self::OPTS.contains(a)
+                    && !Self::STANDALONE.contains(a)
+            })
+            .collect()
     }
 
     /// The experiment-selector flags: `--`-prefixed arguments that are not
@@ -158,6 +207,17 @@ impl RunArgs {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+
+    // An unknown flag selects nothing, so a mistyped selector such as
+    // `--tabel1` would run nothing and exit 0 unless rejected here.
+    let unknown = RunArgs::unknown_flags(&args);
+    if !unknown.is_empty() {
+        eprintln!("unknown flag(s): {}", unknown.join(" "));
+        eprintln!("selectors: {}", RunArgs::SELECTORS.join(" "));
+        eprintln!("options: {}", RunArgs::OPTS.join(" "));
+        eprintln!("standalone: --validate FILE, --profile-trace FILE");
+        std::process::exit(2);
+    }
 
     // Standalone artifact validation: `--validate FILE`. The schema is
     // picked from the file's final path component only
@@ -702,6 +762,26 @@ fn service(jobs: usize, smoke: bool, baseline: Option<&str>) -> (Vec<Json>, bool
     (lines, ok)
 }
 
+/// Reads a committed JSONL artifact as a gate baseline: one cell per
+/// non-empty line, `#` comment lines and unparsable lines skipped. On a
+/// read error it reports `{what} baseline {base_path}: {error}` and returns
+/// `None`, which fails the gate.
+fn read_baseline(what: &str, base_path: &str) -> Option<Vec<Json>> {
+    match std::fs::read_to_string(base_path) {
+        Ok(text) => Some(
+            text.lines()
+                .map(str::trim)
+                .filter(|l| !l.is_empty() && !l.starts_with('#'))
+                .filter_map(|l| Json::parse(l).ok())
+                .collect(),
+        ),
+        Err(e) => {
+            eprintln!("  {what} baseline {base_path}: {e}");
+            None
+        }
+    }
+}
+
 /// Compares fresh service totals against a committed `BENCH_service.json`
 /// by (object, arrival); returns `false` (→ nonzero exit) if any
 /// configuration's per-request statement cost grew past 1/0.70× the
@@ -709,12 +789,8 @@ fn service(jobs: usize, smoke: bool, baseline: Option<&str>) -> (Vec<Json>, bool
 /// enters it), so the gate is immune to machine speed — only an algorithmic
 /// or scheduling change can trip it.
 fn service_gate(fresh: &[Json], base_path: &str) -> bool {
-    let text = match std::fs::read_to_string(base_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("  service baseline {base_path}: {e}");
-            return false;
-        }
+    let Some(base_cells) = read_baseline("service", base_path) else {
+        return false;
     };
     let totals = |cells: &[Json]| -> Vec<(String, String, f64)> {
         cells
@@ -730,12 +806,6 @@ fn service_gate(fresh: &[Json], base_path: &str) -> bool {
             })
             .collect()
     };
-    let base_cells: Vec<Json> = text
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .filter_map(|l| Json::parse(l).ok())
-        .collect();
     let base = totals(&base_cells);
     let now = totals(fresh);
     let mut ok = true;
@@ -1447,19 +1517,9 @@ fn kind_rates(cells: &[Json]) -> Vec<(String, f64)> {
 /// per kind; returns `false` (→ nonzero exit) if any kind's aggregate
 /// steps/sec fell below 70% of the baseline.
 fn perf_gate(fresh: &[Json], base_path: &str) -> bool {
-    let text = match std::fs::read_to_string(base_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("  perf baseline {base_path}: {e}");
-            return false;
-        }
+    let Some(base_cells) = read_baseline("perf", base_path) else {
+        return false;
     };
-    let base_cells: Vec<Json> = text
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .filter_map(|l| Json::parse(l).ok())
-        .collect();
     let base = kind_rates(&base_cells);
     let now = kind_rates(fresh);
     let mut ok = true;

@@ -49,8 +49,6 @@
 //!   per *processor*, that processor's processes run sequentially on it
 //!   (a legal hybrid schedule with no preemptions, so Theorem 4 applies
 //!   verbatim).
-//! * [`rt`] — the degraded-outcome real-time scheduling request API (the
-//!   hook where a privileged host would request `SCHED_RR`).
 //!
 //! Which backend to use when — and which paper guarantees survive on
 //! which backend — is tabulated in `BACKENDS.md`; the worked native
@@ -65,4 +63,3 @@ pub mod cells;
 pub mod fig7;
 pub mod harness;
 pub mod objects;
-pub mod rt;

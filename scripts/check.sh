@@ -13,8 +13,10 @@ skipped_gates=()
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== cargo test -q (warnings are errors) =="
-RUSTFLAGS="-D warnings" cargo test -q
+echo "== cargo test -q --no-fail-fast (warnings are errors) =="
+# --no-fail-fast runs every test binary even after one fails, so a red run
+# lists every failing binary rather than only the first.
+RUSTFLAGS="-D warnings" cargo test -q --no-fail-fast
 
 echo "== cargo doc --no-deps =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps

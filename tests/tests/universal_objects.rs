@@ -124,3 +124,89 @@ fn generated_counter_totals_exact() {
         assert_eq!(replay_final_state(&CounterSpec, r.mem()), total, "{ctx}");
     }
 }
+
+/// Digest of one run of the pinned configuration below: statements run,
+/// a fingerprint of the completed-invocation records, and a fingerprint of
+/// the final shared memory plus its helping counters (which `UniversalMem`'s
+/// own `Hash` ignores).
+fn pinned_counter_run(seed: u64) -> (u64, u64, u64) {
+    use hybrid_wf::universal::CounterSpec as Spec;
+    use sched_sim::rng::FoldHasher;
+    use sched_sim::{Kernel, SeededRandom};
+    use std::hash::{Hash, Hasher};
+
+    let (n, per) = (4u32, 5u64);
+    let mut k = Kernel::new(
+        UniversalMem::<Spec>::new(n, 4 * (n as usize) * per as usize + 4),
+        SystemSpec::hybrid(8).with_adversarial_alignment(),
+    );
+    for w in 0..n {
+        // Worker `w` alternates between addends of clients 2w and 2w+1.
+        let ops: Vec<u64> = (0..per)
+            .map(|j| (u64::from(w) * 2 + j % 2) * 1000 + j / 2 + 1)
+            .collect();
+        k.add_process(
+            ProcessorId(0),
+            Priority(1 + w % 2),
+            Box::new(op_machine(Spec, w, n, ops)),
+        );
+    }
+    let ran = k.run(&mut SeededRandom::new(seed), 1_000_000);
+    assert!(k.all_finished(), "seed {seed}");
+    assert_eq!(k.ops().len(), (n as usize) * per as usize, "seed {seed}");
+
+    let mut h = FoldHasher::new(0);
+    for r in k.ops() {
+        (r.start, r.t, r.pid.0, r.inv_index, r.output).hash(&mut h);
+    }
+    let ops_fp = h.finish();
+    let mut h = FoldHasher::new(0);
+    k.mem.hash(&mut h);
+    let c = k.mem.counters;
+    (c.own_proposals, c.helped_proposals, c.duplicate_retries).hash(&mut h);
+    (ran, ops_fp, h.finish())
+}
+
+/// The one-shot universal construction is pinned statement for statement:
+/// for a 4-process counter under 30 adversarial seeds, the statement count,
+/// every completed-invocation record and the final shared memory (log,
+/// announce array, op arenas and helping counters) match recorded values.
+#[test]
+fn one_shot_counter_runs_are_pinned() {
+    // (statements, records fingerprint, memory fingerprint) for seeds 0..30.
+    const PINNED: [(u64, u64, u64); 30] = [
+        (92, 0xb220ea4677cbaa15, 0x34727a35d9dca90a),
+        (99, 0x7e79e335c4de09a8, 0x6a280eca7a772b6b),
+        (91, 0x9def99cad43e3a8d, 0xe7b1e387690a3dd9),
+        (97, 0x514511991f6940dd, 0x06dd9898dcb4a254),
+        (96, 0xc24adab5530a2e78, 0xa36a010e3b0c0910),
+        (94, 0x66476b853bb72edc, 0xb2c7f995dfd62c9c),
+        (97, 0x7495589895d6d576, 0x00314e54fc606ea2),
+        (92, 0xcd19de8488567c17, 0x6207d30b01faabc6),
+        (95, 0x63294162db2a05ff, 0x94729293d3ff222c),
+        (98, 0x74e098b8bbc9dfaf, 0xdf7c6900a309de94),
+        (93, 0x0925495480268ec0, 0x977077f65d6fd419),
+        (96, 0xbd95b6e1479c5150, 0x424706c532a162c5),
+        (98, 0x9883135add0e07d2, 0xb5911506e7edd6e9),
+        (94, 0x392b4d0835acf581, 0x97737c854549434a),
+        (95, 0x1c11fff313d7c02d, 0xe945109460e97c3b),
+        (92, 0x83db0a4c1b9becf4, 0xba8165cf5831aeaf),
+        (96, 0x083050c9d15b21bb, 0xed2bda99d2040fbb),
+        (95, 0xd4e412f990a4cef3, 0x58cb3ab8c9ba50bd),
+        (98, 0x6a8039246dd7b53b, 0x8d9167a5bf6c7552),
+        (92, 0x3be8aa962735cfa6, 0x32f50141eb52f8a6),
+        (93, 0x8c52c4eb84a40396, 0x1d94439a3efaa2b8),
+        (92, 0x19b7148c50b1d798, 0xe408a72f70020137),
+        (94, 0x6752dff712516039, 0xc9f2edb99b0ac9bf),
+        (96, 0x3f23c217794b8f5a, 0x54695e6a3bf38e0f),
+        (94, 0x354957f83170cd8f, 0xbca458cf8bb0233b),
+        (97, 0x35962d20d4dd9f0b, 0x80a1dffc0559b2df),
+        (96, 0x606d73e76d6fd648, 0xf84c927037ed23be),
+        (93, 0x2c70183e361c4136, 0x5f32c454e2c1a8a1),
+        (97, 0x1d9704469c8ba8c5, 0xbd05d058ddf2baed),
+        (94, 0x0709f9440c64b869, 0x001b34d6cf2f8b4f),
+    ];
+    for (seed, want) in PINNED.iter().enumerate() {
+        assert_eq!(pinned_counter_run(seed as u64), *want, "seed {seed}");
+    }
+}
