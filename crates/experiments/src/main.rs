@@ -1,77 +1,33 @@
 //! Experiment harness: regenerates every table and figure of Anderson &
 //! Moir (PODC 1999) from the implementations in this workspace.
 //!
-//! Run `cargo run -p experiments --release` for the full report, or pass a
-//! subset of flags:
+//! Every experiment is one row of the [`SECTIONS`] table: its selector
+//! flag, whether `--all` runs it, the artifact it writes, its gate and the
+//! function that runs it. `cargo run -p experiments --release` with no
+//! selector (or with `--all`) runs the `--all` sections; naming selectors
+//! runs just those. Either way sections run in table order. A `--`
+//! argument that is no known flag exits with status 2 and lists the table,
+//! so a mistyped selector never passes for a run.
 //!
-//! * `--table1`    — Table 1: universality thresholds across (P, C)
-//! * `--thm1`      — Theorem 1: Fig. 3 constant time + Q ≥ 8 tightness
-//! * `--thm2`      — Theorem 2: Fig. 5 O(V) time
-//! * `--thm3`      — Theorem 3: Fig. 6 impossibility witnesses
-//! * `--thm4`      — Theorem 4: Fig. 7 polynomial time/space
-//! * `--failures`  — Lemmas 2/3: access-failure pressure vs Q
-//! * `--lemma1`    — Lemma 1: exhaustive schedule enumeration for Fig. 3
-//! * `--valency`   — Fig. 10: bivalent chain depths
-//! * `--fig8`      — Fig. 8: the level/port layout
-//! * `--poly-vs-exp` — polynomial Fig. 7 vs exponential baseline
-//! * `--obs`       — observability: per-run counters + capture/replay demo
-//! * `--perf`      — throughput sweep (steps/sec) → `BENCH_perf.json`
-//! * `--fuzz`      — adversarial schedule fuzz over every algorithm family
-//!                   → `BENCH_fuzz.json` (never part of the default `--all`
-//!                   run; must be requested explicitly)
-//! * `--profile`   — schedule profiler sweep over the central families
-//!                   → `BENCH_profile.json` + `profile_<family>.perfetto.json`
-//!                   timelines (like `--fuzz`, explicit-only)
-//! * `--native`    — the native-backend grid: the backend-generic
-//!                   algorithms on real OS threads, cross-validated by the
-//!                   simulator oracles → `BENCH_native.json` (explicit-only;
-//!                   `--smoke` shrinks it for the `check.sh` gate)
-//! * `--crash`     — the crash-and-restart grid: crash/recover lifecycle
-//!                   plans over Fig. 3 / universal / Fig. 7 under noisy
-//!                   schedules, scored by recovery-safe oracles, plus a
-//!                   churn-surviving service cell → `BENCH_crash.json`
-//!                   (explicit-only; `--smoke` shrinks it for the
-//!                   `check.sh` gate)
-//! * `--service`   — the request-serving workload engine: long-lived
-//!                   sharded universal-object services under thousands of
-//!                   multiplexed clients → `BENCH_service.json` with
-//!                   per-shard throughput and request-latency percentiles
-//!                   (explicit-only; `--smoke` shrinks it;
-//!                   `--service-baseline FILE` gates per-request cost
-//!                   against a committed artifact)
+//! Three options apply to every section:
 //!
-//! `--profile` runs Fig. 3 / Fig. 5 / universal / Fig. 7 at their legal
-//! quanta under storm and random deciders with a streaming profiler
-//! attached (`sched_sim::prof`), reporting quantum-window utilization,
-//! preemption counts, dispatch latency, and per-invocation step/retry
-//! histograms, merged per family. `--profile-trace FILE` instead profiles
-//! a committed `.trace` artifact offline and writes its Perfetto timeline
-//! next to the current directory.
+//! * `--jobs N` — sweep worker count (default: available parallelism).
+//!   Results are **bit-identical for every jobs value**; only wall time
+//!   changes.
+//! * `--smoke` — CI-scale workloads, for the sections that have them.
+//! * `--baseline DIR` — gate every [`Gate::Ratio`] section against the
+//!   committed artifact of the same name in `DIR`.
 //!
-//! `--perf` accepts two modifiers: `--smoke` shrinks the workloads for CI,
-//! and `--perf-baseline FILE` compares the fresh rates against a committed
-//! `BENCH_perf.json`, exiting nonzero on a > 30% per-kind regression.
+//! Artifacts are line-oriented JSON, one cell per line. Canonical
+//! artifacts carry only deterministic payloads; wall times go to a
+//! `*.timing.json` sidecar, so regeneration never dirties a committed
+//! artifact. The run exits 1 if any section's gate failed.
 //!
-//! `--fuzz` drives hostile deciders (`sched_sim::fuzz`) against every
-//! family at legal and sub-threshold quanta, checking each family's safety
-//! oracle (`lowerbound::fuzz`). Violations are delta-debugged to minimal
-//! replayable counterexample artifacts under `--fuzz-dir DIR` (default
-//! `tests/golden/fuzz`); `--smoke` shrinks the seed count for CI. Exits
-//! nonzero on a violation at legal Q (a bug) or a missing violation where
-//! the paper predicts impossibility.
-//!
-//! Sweep-shaped experiments (`--table1 --thm1 --thm4 --failures --fuzz`)
-//! run over the `sched_sim::sweep` worker pool; `--jobs N` sets the worker
-//! count (default: available parallelism). Results are **bit-identical for
-//! every jobs value** — only wall time changes. They also emit
-//! line-oriented JSON artifacts: `BENCH_table1.json` (the Table 1 grid)
-//! and `BENCH_sweeps.json` (the other sweeps). Canonical artifacts carry
-//! only deterministic payloads; wall times go to a `*.timing.json` sidecar
-//! so regeneration never dirties a committed artifact. `--validate FILE`
-//! checks either kind of artifact against its schema and exits.
-//!
-//! A `--` argument that is none of the flags above exits with status 2 and
-//! lists the valid flags, so a mistyped selector never passes for a run.
+//! Two standalone modes take a file and exit: `--validate FILE` checks an
+//! artifact or sidecar against its schema, and `--profile-trace FILE`
+//! profiles a serialized trace offline (e.g. a committed fuzz
+//! counterexample) and writes its Perfetto timeline to the current
+//! directory.
 
 use std::time::{Duration, Instant};
 
@@ -82,6 +38,7 @@ use hybrid_wf::uni::cas::{op_machine as cas_machine, CasMem, CasOp};
 use hybrid_wf::uni::consensus::{decide_machine, UniConsensusMem, MIN_QUANTUM};
 use hybrid_wf::universal::{op_machine as universal_machine, CounterSpec, UniversalMem};
 use lowerbound::adversary::{adversary_for_seed, fig7_scenario};
+use lowerbound::explore_grid::fig3_kernel;
 use lowerbound::fig6;
 use lowerbound::fuzz::{case_specs, fuzz_cell, shrink_and_capture, CaseSpec, Expect, DECIDERS};
 use lowerbound::profile::{
@@ -92,42 +49,126 @@ use lowerbound::valency::{bivalent_chain_depth, bivalent_chain_probe};
 use sched_sim::decision::RoundRobin;
 use sched_sim::explore::{check_all_schedules, explore, explore_parallel, ExploreBounds, Verdict};
 use sched_sim::ids::{ProcessId, ProcessorId, Priority};
-use sched_sim::kernel::SystemSpec;
+use sched_sim::kernel::{Kernel, SystemSpec};
 use sched_sim::report::{
     schema_for_path, split_timing, validate_cells, Json, TIMING_SCHEMA,
 };
 use sched_sim::scenario::{RunResult, Scenario};
 use sched_sim::sweep::{cross, default_jobs, run_cells};
 
-/// The shared run options every subcommand draws from: one parse, one
-/// source of truth for which `--flags` are option-carrying (and so must
-/// not be mistaken for experiment selectors).
+/// What a section hands back: its artifact rows (empty when it only
+/// prints) and whether its own oracles held.
+type Outcome = (Vec<Json>, bool);
+
+/// How a section's run is judged, beyond printing it.
+#[derive(Clone, Copy)]
+enum Gate {
+    /// By the section's own oracle verdict alone.
+    Oracle,
+    /// By the oracle verdict and, under `--baseline DIR`, by a ratio check
+    /// `(fresh rows, baseline rows, baseline path) → ok` against
+    /// `DIR/<the section's artifact>`. Only for a section that owns its
+    /// artifact.
+    Ratio(fn(&[Json], &[Json], &str) -> bool),
+}
+
+/// One experiment of the harness: a row of [`SECTIONS`].
+struct Section {
+    /// The selector flag.
+    flag: &'static str,
+    /// One line on what it runs, listed on an unknown flag.
+    about: &'static str,
+    /// Whether `--all` (or no selector at all) runs it.
+    in_all: bool,
+    /// The artifact its rows are written to. Sections sharing an artifact
+    /// pool their rows into one write after the last section has run; any
+    /// other artifact is written as soon as its section returns.
+    artifact: Option<&'static str>,
+    gate: Gate,
+    run: fn(&RunArgs) -> Outcome,
+}
+
+/// The artifact the Theorem 1 / Theorem 4 / Lemmas 2–3 sweeps share.
+const SWEEPS: Option<&str> = Some("BENCH_sweeps.json");
+
+/// Every experiment, in run order. The sections after `--obs` (bar
+/// `--perf`) run only when named: each exists for its artifact and gate
+/// rather than for the default report, or spawns OS threads
+/// (`--native`), or model-checks multi-million-state trees (`--explore`).
+#[rustfmt::skip] // two or three lines per section, not eight
+const SECTIONS: [Section; 18] = [
+    Section { flag: "--lemma1", about: "Lemma 1: exhaustive schedule enumeration for Fig. 3",
+        in_all: true, artifact: None, gate: Gate::Oracle, run: |_| printed(lemma1) },
+    Section { flag: "--thm1", about: "Theorem 1: Fig. 3 constant time + Q ≥ 8 tightness",
+        in_all: true, artifact: SWEEPS, gate: Gate::Oracle, run: |a| (thm1(a.jobs), true) },
+    Section { flag: "--thm2", about: "Theorem 2: Fig. 5 O(V) time",
+        in_all: true, artifact: None, gate: Gate::Oracle, run: |_| printed(thm2) },
+    Section { flag: "--fig8", about: "Fig. 8: the level/port layout",
+        in_all: true, artifact: None, gate: Gate::Oracle, run: |_| printed(fig8) },
+    Section { flag: "--thm4", about: "Theorem 4: Fig. 7 polynomial time/space",
+        in_all: true, artifact: SWEEPS, gate: Gate::Oracle, run: |a| (thm4(a.jobs), true) },
+    Section { flag: "--failures", about: "Lemmas 2/3: access-failure pressure vs Q",
+        in_all: true, artifact: SWEEPS, gate: Gate::Oracle, run: |a| (failures(a.jobs), true) },
+    Section { flag: "--thm3", about: "Theorem 3: Fig. 6 impossibility witnesses",
+        in_all: true, artifact: None, gate: Gate::Oracle, run: |_| printed(thm3) },
+    Section { flag: "--valency", about: "Fig. 10: bivalent chain depths",
+        in_all: true, artifact: None, gate: Gate::Oracle, run: |_| printed(valency) },
+    Section { flag: "--table1", about: "Table 1: universality thresholds across (P, C)",
+        in_all: true, artifact: Some("BENCH_table1.json"), gate: Gate::Oracle,
+        run: |a| (table1(a.jobs), true) },
+    Section { flag: "--poly-vs-exp", about: "polynomial Fig. 7 vs the exponential baseline",
+        in_all: true, artifact: None, gate: Gate::Oracle, run: |_| printed(poly_vs_exp) },
+    Section { flag: "--obs", about: "observability: per-run counters + capture/replay demo",
+        in_all: true, artifact: None, gate: Gate::Oracle, run: |_| printed(obs) },
+    Section { flag: "--fuzz", about: "adversarial schedule fuzz over every algorithm family",
+        in_all: false, artifact: Some("BENCH_fuzz.json"), gate: Gate::Oracle,
+        run: |a| fuzz(a.jobs, a.smoke) },
+    Section { flag: "--profile", about: "schedule profiler sweep + per-family Perfetto timelines",
+        in_all: false, artifact: Some("BENCH_profile.json"), gate: Gate::Oracle,
+        run: |a| (profile_sweep(a.jobs, a.smoke), true) },
+    Section { flag: "--native", about: "backend-generic algorithms on OS threads, oracle-checked",
+        in_all: false, artifact: Some("BENCH_native.json"), gate: Gate::Oracle,
+        run: |a| native_grid(a.smoke) },
+    Section { flag: "--service", about: "sharded universal-object services serving many clients",
+        in_all: false, artifact: Some("BENCH_service.json"), gate: Gate::Ratio(service_gate),
+        run: |a| service(a.jobs, a.smoke) },
+    Section { flag: "--crash", about: "crash-and-restart grid under recovery-safe oracles",
+        in_all: false, artifact: Some("BENCH_crash.json"), gate: Gate::Oracle,
+        run: |a| crash_grid(a.jobs, a.smoke) },
+    Section { flag: "--explore", about: "exhaustive explorer grid: parallel and reduced modes",
+        in_all: false, artifact: Some("BENCH_explore.json"), gate: Gate::Ratio(perf_gate),
+        run: |a| explore_grid_report(a.jobs, a.smoke) },
+    Section { flag: "--perf", about: "throughput sweep: simulated statements per second",
+        in_all: true, artifact: Some("BENCH_perf.json"), gate: Gate::Ratio(perf_gate),
+        run: |a| (perf(a.smoke, a.jobs), true) },
+];
+
+/// Runs a section that only prints: no artifact rows, no verdict.
+fn printed(section: fn()) -> Outcome {
+    section();
+    (Vec::new(), true)
+}
+
+/// The run options every section draws from: one parse, one source of
+/// truth for which `--flags` are options (and so not section selectors).
 struct RunArgs {
     /// Sweep worker count (`--jobs N`; default: available parallelism).
     jobs: usize,
     /// CI-scale workloads (`--smoke`).
     smoke: bool,
-    /// Committed `BENCH_perf.json` to gate `--perf` against.
-    perf_baseline: Option<String>,
-    /// Committed `BENCH_service.json` to gate `--service` against.
-    service_baseline: Option<String>,
-    /// Committed `BENCH_explore.json` to gate `--explore` against.
-    explore_baseline: Option<String>,
-    /// Directory for shrunk fuzz counterexamples (`--fuzz-dir DIR`).
-    fuzz_dir: String,
+    /// Directory of committed artifacts to ratio-gate against
+    /// (`--baseline DIR`).
+    baseline: Option<String>,
 }
 
 impl RunArgs {
-    /// Options (flags that consume the next argument, plus `--smoke`);
-    /// everything else starting with `--` selects an experiment.
-    const OPTS: [&'static str; 6] = [
-        "--jobs",
-        "--smoke",
-        "--perf-baseline",
-        "--service-baseline",
-        "--explore-baseline",
-        "--fuzz-dir",
-    ];
+    /// Options: `--jobs` and `--baseline` consume the next argument,
+    /// `--smoke` stands alone.
+    const OPTS: [&'static str; 3] = ["--jobs", "--smoke", "--baseline"];
+
+    /// Standalone modes, each taking a file path: `--validate FILE` and
+    /// `--profile-trace FILE`.
+    const STANDALONE: [&'static str; 2] = ["--validate", "--profile-trace"];
 
     fn parse(args: &[String]) -> Self {
         let value_of = |flag: &str| {
@@ -148,59 +189,28 @@ impl RunArgs {
                 })
                 .unwrap_or_else(default_jobs),
             smoke: args.iter().any(|a| a == "--smoke"),
-            perf_baseline: value_of("--perf-baseline"),
-            service_baseline: value_of("--service-baseline"),
-            explore_baseline: value_of("--explore-baseline"),
-            fuzz_dir: value_of("--fuzz-dir").unwrap_or_else(|| "tests/golden/fuzz".to_string()),
+            baseline: value_of("--baseline"),
         }
     }
-
-    /// Experiment selectors. `--all`, or no selector at all, runs every
-    /// section up to `--perf`; the ones after it run only when named.
-    const SELECTORS: [&'static str; 19] = [
-        "--all",
-        "--lemma1",
-        "--thm1",
-        "--thm2",
-        "--fig8",
-        "--thm4",
-        "--failures",
-        "--thm3",
-        "--valency",
-        "--table1",
-        "--poly-vs-exp",
-        "--obs",
-        "--perf",
-        "--fuzz",
-        "--profile",
-        "--native",
-        "--service",
-        "--crash",
-        "--explore",
-    ];
-
-    /// Standalone modes, each taking a file path: `--validate FILE` and
-    /// `--profile-trace FILE`.
-    const STANDALONE: [&'static str; 2] = ["--validate", "--profile-trace"];
 
     /// The `--`-prefixed arguments that are no known flag.
     fn unknown_flags(args: &[String]) -> Vec<&str> {
         args.iter()
             .map(String::as_str)
-            .filter(|a| a.starts_with("--"))
+            .filter(|a| a.starts_with("--") && *a != "--all")
             .filter(|a| {
-                !Self::SELECTORS.contains(a)
+                !SECTIONS.iter().any(|s| s.flag == *a)
                     && !Self::OPTS.contains(a)
                     && !Self::STANDALONE.contains(a)
             })
             .collect()
     }
 
-    /// The experiment-selector flags: `--`-prefixed arguments that are not
-    /// run options.
-    fn mode_flags(args: &[String]) -> Vec<&String> {
+    /// The section selectors: `--`-prefixed arguments that are not options.
+    fn selectors(args: &[String]) -> Vec<&str> {
         args.iter()
-            .filter(|a| a.starts_with("--") && !Self::OPTS.contains(&a.as_str()))
+            .map(String::as_str)
+            .filter(|a| a.starts_with("--") && !Self::OPTS.contains(a))
             .collect()
     }
 }
@@ -213,7 +223,11 @@ fn main() {
     let unknown = RunArgs::unknown_flags(&args);
     if !unknown.is_empty() {
         eprintln!("unknown flag(s): {}", unknown.join(" "));
-        eprintln!("selectors: {}", RunArgs::SELECTORS.join(" "));
+        eprintln!("sections (* = run by --all, or when no section is named):");
+        for s in &SECTIONS {
+            let mark = if s.in_all { '*' } else { ' ' };
+            eprintln!("  {:<13} {mark} {}", s.flag, s.about);
+        }
         eprintln!("options: {}", RunArgs::OPTS.join(" "));
         eprintln!("standalone: --validate FILE, --profile-trace FILE");
         std::process::exit(2);
@@ -278,115 +292,35 @@ fn main() {
     }
 
     let run = RunArgs::parse(&args);
-    let flags = RunArgs::mode_flags(&args);
-    let all = flags.is_empty() || flags.iter().any(|a| *a == "--all");
-    let want = |flag: &str| all || flags.iter().any(|a| *a == flag);
+    let selectors = RunArgs::selectors(&args);
+    let all = selectors.is_empty() || selectors.contains(&"--all");
+    let wanted = |s: &&Section| (all && s.in_all) || selectors.contains(&s.flag);
 
     println!("hybrid-wf experiment harness — Anderson & Moir, PODC 1999");
     println!("===========================================================\n");
-    let mut sweeps: Vec<Json> = Vec::new();
-    if want("--lemma1") {
-        lemma1();
-    }
-    if want("--thm1") {
-        sweeps.extend(thm1(run.jobs));
-    }
-    if want("--thm2") {
-        thm2();
-    }
-    if want("--fig8") {
-        fig8();
-    }
-    if want("--thm4") {
-        sweeps.extend(thm4(run.jobs));
-    }
-    if want("--failures") {
-        sweeps.extend(failures(run.jobs));
-    }
-    if want("--thm3") {
-        thm3();
-    }
-    if want("--valency") {
-        valency();
-    }
-    if want("--table1") {
-        let cells = table1(run.jobs);
-        write_artifact("BENCH_table1.json", &cells);
-    }
-    if want("--poly-vs-exp") {
-        poly_vs_exp();
-    }
-    if want("--obs") {
-        obs();
-    }
-    let want_fuzz = flags.iter().any(|a| *a == "--fuzz");
-    let mut fuzz_ok = true;
-    if want_fuzz {
-        let (cells, ok) = fuzz(run.jobs, run.smoke, &run.fuzz_dir);
-        write_artifact("BENCH_fuzz.json", &cells);
-        fuzz_ok = ok;
-    }
-    // Like --fuzz, the profiler sweep is explicit-only: it re-runs four
-    // full families and writes timeline artifacts, which the default
-    // `--all` report does not need.
-    if flags.iter().any(|a| *a == "--profile") {
-        let lines = profile_sweep(run.jobs, run.smoke);
-        write_artifact("BENCH_profile.json", &lines);
-    }
-    // The native grid spawns real OS threads per cell, so it is also
-    // explicit-only (and ignores `--jobs`: nesting thread-per-process
-    // cells under a worker pool would oversubscribe the machine).
-    let mut native_ok = true;
-    if flags.iter().any(|a| *a == "--native") {
-        let (lines, ok) = native_grid(run.smoke);
-        write_artifact("BENCH_native.json", &lines);
-        native_ok = ok;
-    }
-    // The request-serving workload engine: long-lived universal-object
-    // service runs. Explicit-only like --profile (it streams millions of
-    // invocations at full scale).
-    let mut service_ok = true;
-    if flags.iter().any(|a| *a == "--service") {
-        let (lines, ok) = service(run.jobs, run.smoke, run.service_baseline.as_deref());
-        write_artifact("BENCH_service.json", &lines);
-        service_ok = ok;
-    }
-    // The crash-and-restart grid: explicit-only like --fuzz (it exists for
-    // its artifact and its gate, not for the default report).
-    let mut crash_ok = true;
-    if flags.iter().any(|a| *a == "--crash") {
-        let (lines, ok) = crash_grid(run.jobs, run.smoke);
-        write_artifact("BENCH_crash.json", &lines);
-        crash_ok = ok;
-    }
-    // Exhaustive exploration at scale: the parallel/reduced explorer grid.
-    // Explicit-only (the full grid model-checks multi-million-state trees);
-    // gated against the committed baseline like --perf.
-    if flags.iter().any(|a| *a == "--explore") {
-        let (cells, ok) = explore_grid_report(run.jobs, run.smoke);
-        write_artifact("BENCH_explore.json", &cells);
-        if !ok {
-            std::process::exit(1);
-        }
-        if let Some(base) = &run.explore_baseline {
-            if !perf_gate(&cells, base) {
-                std::process::exit(1);
+    let mut pooled: Vec<(&str, Vec<Json>)> = Vec::new();
+    let mut failed = false;
+    for s in SECTIONS.iter().filter(wanted) {
+        let (rows, ok) = (s.run)(&run);
+        failed |= !ok;
+        let Some(artifact) = s.artifact else { continue };
+        if SECTIONS.iter().filter(|t| t.artifact == s.artifact).count() > 1 {
+            match pooled.iter_mut().find(|(a, _)| *a == artifact) {
+                Some((_, pool)) => pool.extend(rows),
+                None => pooled.push((artifact, rows)),
             }
+            continue;
+        }
+        write_artifact(artifact, &rows);
+        if let (Gate::Ratio(check), Some(dir)) = (s.gate, &run.baseline) {
+            let path = format!("{}/{artifact}", dir.trim_end_matches('/'));
+            failed |= !read_baseline(&path).is_some_and(|base| check(&rows, &base, &path));
         }
     }
-    if want("--perf") {
-        let cells = perf(run.smoke, run.jobs);
-        write_artifact("BENCH_perf.json", &cells);
-        if let Some(base) = &run.perf_baseline {
-            if !perf_gate(&cells, base) {
-                std::process::exit(1);
-            }
-        }
+    for (artifact, rows) in &pooled {
+        write_artifact(artifact, rows);
     }
-    if !sweeps.is_empty() {
-        write_artifact("BENCH_sweeps.json", &sweeps);
-    }
-    if !fuzz_ok || !native_ok || !service_ok || !crash_ok {
+    if failed {
         std::process::exit(1);
     }
 }
@@ -432,6 +366,10 @@ fn wall_ms(d: Duration) -> f64 {
     (d.as_secs_f64() * 1e3 * 1e3).round() / 1e3
 }
 
+/// Where `--fuzz` writes its shrunk counterexamples, relative to the
+/// current directory: from the repository root, the committed corpus.
+const FUZZ_DIR: &str = "tests/golden/fuzz";
+
 /// `--fuzz`: adversarial schedule fuzz with shrinking counterexamples.
 ///
 /// Runs every `(family, Q)` spec from [`lowerbound::fuzz::case_specs`]
@@ -441,8 +379,8 @@ fn wall_ms(d: Duration) -> f64 {
 /// Theorem 3 predicts impossibility means the adversaries lost their
 /// teeth — both flip the returned flag to `false` (→ nonzero exit). The
 /// first violation of each violating spec is delta-debugged to a minimal
-/// script and written as a replayable artifact under `fuzz_dir`.
-fn fuzz(jobs: usize, smoke: bool, fuzz_dir: &str) -> (Vec<Json>, bool) {
+/// script and written as a replayable artifact under [`FUZZ_DIR`].
+fn fuzz(jobs: usize, smoke: bool) -> (Vec<Json>, bool) {
     // 8 seeds are enough for every Expect::Violation spec to fire (the
     // deepest known witness sits at seed 5); the full run triples that.
     let seeds: u64 = if smoke { 8 } else { 24 };
@@ -513,8 +451,8 @@ fn fuzz(jobs: usize, smoke: bool, fuzz_dir: &str) -> (Vec<Json>, bool) {
                 .expect("violations imply a first violating run");
             let first = rep.first.as_ref().expect("checked above");
             let ce = shrink_and_capture(spec, DECIDERS[di], first.seed, &first.script);
-            std::fs::create_dir_all(fuzz_dir).expect("create fuzz artifact dir");
-            let path = format!("{}/{}", fuzz_dir.trim_end_matches('/'), ce.file_name());
+            std::fs::create_dir_all(FUZZ_DIR).expect("create fuzz artifact dir");
+            let path = format!("{FUZZ_DIR}/{}", ce.file_name());
             std::fs::write(&path, ce.to_text()).expect("write fuzz artifact");
             println!(
                 "      ↳ shrunk script {} → {} forced decisions ({}), artifact {path}",
@@ -598,6 +536,8 @@ fn profile_sweep(jobs: usize, smoke: bool) -> Vec<Json> {
 /// clean) or a `MISSING` (a pinned sub-threshold seed that no longer
 /// splits the Fig. 3 decision). Free-mode Fig. 3 disagreement is
 /// *reported*, never gated: no commodity scheduler promises Axiom 2.
+/// There is no `jobs`: nesting thread-per-process cells under the sweep
+/// worker pool would oversubscribe the machine.
 fn native_grid(smoke: bool) -> (Vec<Json>, bool) {
     use lowerbound::native as ng;
     let cells = ng::run_grid(smoke);
@@ -633,6 +573,17 @@ fn native_grid(smoke: bool) -> (Vec<Json>, bool) {
     (ng::report_lines(&cells), ok)
 }
 
+/// A row's `cell.<key>` as display text: a string bare, anything else as
+/// JSON, `?` when absent.
+fn cell_val(row: &Json, key: &str) -> String {
+    row.get("cell")
+        .and_then(|c| c.get(key))
+        .map_or("?".to_string(), |v| match v {
+            Json::Str(s) => s.clone(),
+            other => other.to_string(),
+        })
+}
+
 /// `--crash`: the crash-and-restart grid (see `lowerbound::crash`).
 ///
 /// Runs every (family, noise, seed) crash cell — a deterministic
@@ -648,14 +599,6 @@ fn crash_grid(jobs: usize, smoke: bool) -> (Vec<Json>, bool) {
         if smoke { "smoke" } else { "full" }
     );
     let lines = lowerbound::crash::run_grid(jobs, smoke);
-    let cell_val = |l: &Json, key: &str| {
-        l.get("cell")
-            .and_then(|c| c.get(key))
-            .map_or("?".to_string(), |v| match v {
-                Json::Str(s) => s.clone(),
-                other => other.to_string(),
-            })
-    };
     println!("    family      q  noise  seed  victim  crash@  recover@     steps  crashes  recoveries  verdict");
     for l in &lines {
         let num = |key: &str| l.get(key).and_then(Json::as_u64).unwrap_or(0);
@@ -705,9 +648,9 @@ fn crash_grid(jobs: usize, smoke: bool) -> (Vec<Json>, bool) {
 /// serving a multiplexed client population over the sweep worker pool —
 /// prints the per-configuration summary, and returns the JSONL lines for
 /// `BENCH_service.json` plus the gate flag: `false` if any configuration
-/// failed to finish inside its step budget, or (with a baseline) if
-/// per-request cost regressed past the threshold.
-fn service(jobs: usize, smoke: bool, baseline: Option<&str>) -> (Vec<Json>, bool) {
+/// failed to finish inside its step budget. [`service_gate`] compares the
+/// rows against a baseline.
+fn service(jobs: usize, smoke: bool) -> (Vec<Json>, bool) {
     let cfgs = lowerbound::service::grid(smoke);
     println!(
         "── Service engine: {} (object, arrival) configurations ({}, {jobs} jobs) ──",
@@ -719,14 +662,6 @@ fn service(jobs: usize, smoke: bool, baseline: Option<&str>) -> (Vec<Json>, bool
         "    object   arrival  shards  clients  workers   requests  steps/req     p50     p90     p99  finished"
     );
     let mut ok = true;
-    let cell_str = |l: &Json, key: &str| {
-        l.get("cell")
-            .and_then(|c| c.get(key))
-            .map_or("?".to_string(), |v| match v {
-                Json::Str(s) => s.clone(),
-                other => other.to_string(),
-            })
-    };
     for (cfg, l) in cfgs.iter().zip(
         lines.iter().filter(|l| l.get("kind").and_then(Json::as_str) == Some("service_total")),
     ) {
@@ -737,11 +672,11 @@ fn service(jobs: usize, smoke: bool, baseline: Option<&str>) -> (Vec<Json>, bool
         let num = |key: &str| l.get(key).and_then(Json::as_u64).unwrap_or(0);
         println!(
             "    {:<8} {:<8} {:>6} {:>8} {:>8} {:>10}  {:>9} {:>7} {:>7} {:>7}  {}",
-            cell_str(l, "object"),
-            cell_str(l, "arrival"),
+            cell_val(l, "object"),
+            cell_val(l, "arrival"),
             cfg.shards,
-            cell_str(l, "clients"),
-            cell_str(l, "workers"),
+            cell_val(l, "clients"),
+            cell_val(l, "workers"),
             num("requests"),
             l.get("steps_per_request").and_then(Json::as_f64).unwrap_or(f64::NAN),
             num("p50"),
@@ -753,20 +688,15 @@ fn service(jobs: usize, smoke: bool, baseline: Option<&str>) -> (Vec<Json>, bool
     if !ok {
         println!("  SERVICE GATE FAILED: a configuration exhausted its step budget");
     }
-    if let Some(base) = baseline {
-        if !service_gate(&lines, base) {
-            ok = false;
-        }
-    }
     println!();
     (lines, ok)
 }
 
 /// Reads a committed JSONL artifact as a gate baseline: one cell per
 /// non-empty line, `#` comment lines and unparsable lines skipped. On a
-/// read error it reports `{what} baseline {base_path}: {error}` and returns
+/// read error it reports `baseline {base_path}: {error}` and returns
 /// `None`, which fails the gate.
-fn read_baseline(what: &str, base_path: &str) -> Option<Vec<Json>> {
+fn read_baseline(base_path: &str) -> Option<Vec<Json>> {
     match std::fs::read_to_string(base_path) {
         Ok(text) => Some(
             text.lines()
@@ -776,7 +706,7 @@ fn read_baseline(what: &str, base_path: &str) -> Option<Vec<Json>> {
                 .collect(),
         ),
         Err(e) => {
-            eprintln!("  {what} baseline {base_path}: {e}");
+            eprintln!("  baseline {base_path}: {e}");
             None
         }
     }
@@ -788,10 +718,7 @@ fn read_baseline(what: &str, base_path: &str) -> Option<Vec<Json>> {
 /// baseline. `steps_per_request` is fully deterministic (wall time never
 /// enters it), so the gate is immune to machine speed — only an algorithmic
 /// or scheduling change can trip it.
-fn service_gate(fresh: &[Json], base_path: &str) -> bool {
-    let Some(base_cells) = read_baseline("service", base_path) else {
-        return false;
-    };
+fn service_gate(fresh: &[Json], base_cells: &[Json], base_path: &str) -> bool {
     let totals = |cells: &[Json]| -> Vec<(String, String, f64)> {
         cells
             .iter()
@@ -806,7 +733,7 @@ fn service_gate(fresh: &[Json], base_path: &str) -> bool {
             })
             .collect()
     };
-    let base = totals(&base_cells);
+    let base = totals(base_cells);
     let now = totals(fresh);
     let mut ok = true;
     println!("  service gate vs {base_path} (fail above 1/0.70× baseline steps/request):");
@@ -834,23 +761,27 @@ fn service_gate(fresh: &[Json], base_path: &str) -> bool {
     ok
 }
 
+/// Fig. 3 consensus on one processor under adversarially aligned quantum
+/// windows: one `decide_machine(value)` per `(value, priority)` input.
+/// [`fig3_kernel`] is the all-priority-1 case.
+fn fig3_prio_kernel(q: u32, inputs: &[(u64, u32)]) -> Kernel<UniConsensusMem> {
+    let mut s = Scenario::new(
+        UniConsensusMem::default(),
+        SystemSpec::hybrid(q).with_adversarial_alignment(),
+    );
+    for &(v, pr) in inputs {
+        s.add_process(ProcessorId(0), Priority(pr), Box::new(decide_machine(v)));
+    }
+    s.into_kernel()
+}
+
 fn lemma1() {
     println!("── Lemma 1 (Fig. 4): exhaustive schedule enumeration, Fig. 3 consensus ──");
-    let mk = |q: u32, inputs: &[(u64, u32)]| {
-        let mut s = Scenario::new(
-            UniConsensusMem::default(),
-            SystemSpec::hybrid(q).with_adversarial_alignment(),
-        );
-        for &(v, pr) in inputs {
-            s.add_process(ProcessorId(0), Priority(pr), Box::new(decide_machine(v)));
-        }
-        s.into_kernel()
-    };
     for (label, inputs) in [
         ("2 procs, same priority", vec![(1u64, 1u32), (2, 1)]),
         ("3 procs, two levels", vec![(1, 1), (2, 1), (3, 2)]),
     ] {
-        let k = mk(MIN_QUANTUM, &inputs);
+        let k = fig3_prio_kernel(MIN_QUANTUM, &inputs);
         let vals: Vec<u64> = inputs.iter().map(|&(v, _)| v).collect();
         let stats = check_all_schedules(&k, ExploreBounds::default(), |k| {
             let outs: Vec<u64> =
@@ -872,7 +803,7 @@ fn lemma1() {
         }
     }
     // Tightness at Q = 1.
-    let k = mk(1, &[(1, 1), (2, 1)]);
+    let k = fig3_kernel(1, &[1, 2]);
     let mut bad = 0u32;
     let mut total = 0u32;
     explore(&k, ExploreBounds::default(), |k| {
@@ -1068,13 +999,7 @@ fn thm3() {
 fn valency() {
     println!("── Fig. 10: bivalent chain depth (Fig. 3 consensus, 2 procs) ──");
     for q in [1u32, 2, 4, 8] {
-        let k = Scenario::new(
-            UniConsensusMem::default(),
-            SystemSpec::hybrid(q).with_adversarial_alignment(),
-        )
-        .process(ProcessorId(0), Priority(1), Box::new(decide_machine(1)))
-        .process(ProcessorId(0), Priority(1), Box::new(decide_machine(2)))
-        .into_kernel();
+        let k = fig3_kernel(q, &[1, 2]);
         let d = bivalent_chain_depth(&k, 16, ExploreBounds::default());
         println!("    Q = {q}: adversary sustains bivalence for {d} statements (of 16 total)");
     }
@@ -1261,11 +1186,6 @@ fn indent(s: &str, pad: &str) -> String {
     s.lines().map(|l| format!("{pad}{l}")).collect::<Vec<_>>().join("\n")
 }
 
-/// Throughput sweep: simulated statements per second on the three hot
-/// workloads — the Fig. 3 exhaustive exploration (Lemma 1), the Fig. 10
-/// valency probe, and the Table 1 (P, C) × Q grid. `smoke` shrinks every
-/// workload for CI; rates stay comparable because the per-statement work is
-/// identical.
 /// Runs the exhaustive-exploration grid (`lowerbound::explore_grid`) and
 /// prints the scaling summary: per-mode throughput plus each workload's
 /// visited-state reduction factor (unreduced ÷ reduced). Returns the
@@ -1335,21 +1255,16 @@ fn explore_grid_report(jobs: usize, smoke: bool) -> (Vec<Json>, bool) {
     (rows, ok)
 }
 
+/// Throughput sweep: simulated statements per second on the three hot
+/// workloads — the Fig. 3 exhaustive exploration (Lemma 1), the Fig. 10
+/// valency probe, and the Table 1 (P, C) × Q grid. `smoke` shrinks every
+/// workload for CI; rates stay comparable because the per-statement work is
+/// identical.
 fn perf(smoke: bool, jobs: usize) -> Vec<Json> {
     println!(
         "── Throughput: simulated statements per second ({} workloads) ──",
         if smoke { "smoke" } else { "full" }
     );
-    let mk = |q: u32, inputs: &[(u64, u32)]| {
-        let mut s = Scenario::new(
-            UniConsensusMem::default(),
-            SystemSpec::hybrid(q).with_adversarial_alignment(),
-        );
-        for &(v, pr) in inputs {
-            s.add_process(ProcessorId(0), Priority(pr), Box::new(decide_machine(v)));
-        }
-        s.into_kernel()
-    };
     let mut lines = Vec::new();
 
     // 1. Exhaustive schedule exploration (the Lemma 1 model-checking path).
@@ -1364,7 +1279,7 @@ fn perf(smoke: bool, jobs: usize) -> Vec<Json> {
         ("fig3_q8_3p", MIN_QUANTUM, vec![(1, 1), (2, 1), (3, 2)]),
         ("fig3_q1_2p", 1, vec![(1, 1), (2, 1)]),
     ] {
-        let k = mk(q, &inputs);
+        let k = fig3_prio_kernel(q, &inputs);
         for (kind, mode_jobs) in [("perf_explore", 1usize), ("perf_explore_par", par_jobs)] {
             let mut steps = 0u64;
             let mut terminals = 0u64;
@@ -1402,7 +1317,7 @@ fn perf(smoke: bool, jobs: usize) -> Vec<Json> {
     // 2. The Fig. 10 valency probe (bivalent chain search).
     let valency_reps = if smoke { 1u64 } else { 10 };
     for q in [1u32, 2, 4, 8] {
-        let k = mk(q, &[(1, 1), (2, 1)]);
+        let k = fig3_kernel(q, &[1, 2]);
         let mut steps = 0u64;
         let mut depth = 0u32;
         let t0 = Instant::now();
@@ -1479,22 +1394,17 @@ fn rate(steps: u64, wall: Duration) -> f64 {
 fn kind_rates(cells: &[Json]) -> Vec<(String, f64)> {
     let mut kinds: Vec<(String, u64, f64)> = Vec::new();
     for v in cells {
-        let kind = match v.get("kind") {
-            Some(Json::Str(s)) => s.clone(),
-            _ => continue,
+        let (Some(kind), Some(steps)) =
+            (v.get("kind").and_then(Json::as_str), v.get("steps").and_then(Json::as_u64))
+        else {
+            continue;
         };
-        let steps = match v.get("steps") {
-            Some(Json::Int(n)) => *n,
-            Some(Json::Float(f)) => *f as u64,
-            _ => continue,
-        };
-        let wall = match v.get("wall_ms") {
-            Some(Json::Int(n)) => *n as f64,
-            Some(Json::Float(f)) => *f,
+        let wall = match v.get("wall_ms").and_then(Json::as_f64) {
+            Some(w) => w,
             // Canonical artifacts carry no wall_ms (it lives in the timing
             // sidecar); reconstruct the wall contribution from the cell's
             // own pinned rate so committed baselines stay comparable.
-            _ => match v.get("steps_per_sec").and_then(Json::as_f64) {
+            None => match v.get("steps_per_sec").and_then(Json::as_f64) {
                 Some(r) if r > 0.0 => steps as f64 / r * 1e3,
                 _ => continue,
             },
@@ -1504,7 +1414,7 @@ fn kind_rates(cells: &[Json]) -> Vec<(String, f64)> {
                 e.1 += steps;
                 e.2 += wall;
             }
-            None => kinds.push((kind, steps, wall)),
+            None => kinds.push((kind.to_string(), steps, wall)),
         }
     }
     kinds
@@ -1513,14 +1423,12 @@ fn kind_rates(cells: &[Json]) -> Vec<(String, f64)> {
         .collect()
 }
 
-/// Compares fresh perf cells against a committed `BENCH_perf.json`,
-/// per kind; returns `false` (→ nonzero exit) if any kind's aggregate
-/// steps/sec fell below 70% of the baseline.
-fn perf_gate(fresh: &[Json], base_path: &str) -> bool {
-    let Some(base_cells) = read_baseline("perf", base_path) else {
-        return false;
-    };
-    let base = kind_rates(&base_cells);
+/// Compares fresh perf or explore cells against the committed
+/// `BENCH_perf.json` / `BENCH_explore.json`, per kind; returns `false`
+/// (→ nonzero exit) if any kind's aggregate steps/sec fell below 70% of
+/// the baseline.
+fn perf_gate(fresh: &[Json], base_cells: &[Json], base_path: &str) -> bool {
+    let base = kind_rates(base_cells);
     let now = kind_rates(fresh);
     let mut ok = true;
     println!("  perf gate vs {base_path} (fail under 0.70× baseline):");
@@ -1581,4 +1489,28 @@ fn poly_vs_exp() {
         println!("   {n:>2}  |  {s7:>12}  {o7:>7} |  {steps_e:>14}  {oe:>7}");
     }
     println!();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn registry_flags_are_distinct_and_gates_own_their_artifact() {
+        for (i, s) in SECTIONS.iter().enumerate() {
+            assert!(s.flag.starts_with("--"), "{}", s.flag);
+            assert!(
+                SECTIONS[..i].iter().all(|t| t.flag != s.flag)
+                    && !RunArgs::OPTS.contains(&s.flag)
+                    && !RunArgs::STANDALONE.contains(&s.flag),
+                "{} is listed twice",
+                s.flag
+            );
+            if let Gate::Ratio(_) = s.gate {
+                let sharers = SECTIONS.iter().filter(|t| t.artifact == s.artifact).count();
+                let owned = s.artifact.is_some() && sharers == 1;
+                assert!(owned, "{} gates a pooled artifact", s.flag);
+            }
+        }
+    }
 }
